@@ -18,19 +18,18 @@ from flexnum.concretize import Concretization
 from flexnum.extnum import from_neutrix, monomial
 from flexnum.recur import (
     RecurrenceSpec,
-    UVar,
     affine_spec,
     classify_stability,
     oslash_power,
     sample_paths,
 )
 from flexnum.scale import OSLASH, pound
-from flexnum.seq import Const, Mul
+from flexnum.seq import Const, Mul, Var
 
 conc = Concretization(eps0=1e-3, seed=7)
 
 print("== powers of the infinitesimal neutrix ==")
-spec = RecurrenceSpec(Mul(Const(from_neutrix(OSLASH)), UVar()), monomial(1), horizon=8)
+spec = RecurrenceSpec(Mul(Const(from_neutrix(OSLASH)), Var("u")), monomial(1), horizon=8)
 path = sample_paths(spec, conc, count=1, seed=1)[0]
 for n, value in enumerate(path.values):
     member = "-" if n == 0 else oslash_power(n).contains(value, conc)
@@ -63,7 +62,7 @@ n_2 = Pow(N, Fraction(-2))
 np1_2 = Pow(Add(N, Const(monomial(1))), Fraction(-2))
 n_4 = Pow(N, Fraction(-4))
 f = (
-    Mul(Add(Const(monomial(-1)), n_2), UVar())
+    Mul(Add(Const(monomial(-1)), n_2), Var("u"))
     + Const(monomial(2))
     - n_2
     + Mul(ALT, n_2 - np1_2 - n_4)

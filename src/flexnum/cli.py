@@ -111,7 +111,7 @@ def _cmd_recur(args) -> int:
     reference = dsl.parse_extnum(args.reference)
     spec = recur.RecurrenceSpec(f, u0, args.horizon, n0=args.n0)
     verdict = recur.classify_stability(
-        spec, reference, nx, conc, samples=args.samples, seed=args.seed or 1
+        spec, reference, nx, conc, samples=args.samples, seed=1 if args.seed is None else args.seed
     )
     payload = verdict.to_dict()
     lines = [
@@ -175,26 +175,40 @@ def _cmd_match(args) -> int:
     return 0 if result.ok else 1
 
 
+def _common_options(suppress: bool) -> argparse.ArgumentParser:
+    """The options every command accepts, before or after the subcommand.
+
+    The subcommands' copies default to SUPPRESS, so that a value given
+    before the subcommand is not overwritten by their defaults.
+    """
+    default = argparse.SUPPRESS if suppress else None
+    p = argparse.ArgumentParser(add_help=False, argument_default=default)
+    p.add_argument("--eps0", type=float, help="scale value for the oracle")
+    p.add_argument("--delta", help="half-exponent buffer (rational)")
+    p.add_argument("--micro-exp", help="microhalo exponent (rational)")
+    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--format", choices=("text", "json", "csv"), default=default if suppress else "text",
+        help="output format",
+    )
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexnum",
         description="external-number arithmetic, flexible-sequence limits and their numeric oracle",
-    )
-    parser.add_argument("--eps0", type=float, default=None, help="scale value for the oracle")
-    parser.add_argument("--delta", default=None, help="half-exponent buffer (rational)")
-    parser.add_argument("--micro-exp", default=None, help="microhalo exponent (rational)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
+        parents=[_common_options(suppress=False)],
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options(suppress=True)]
 
-    p = sub.add_parser("eval", help="evaluate an external-number or sequence expression")
+    p = sub.add_parser("eval", parents=common, help="evaluate an external-number or sequence expression")
     p.add_argument("expr")
     p.add_argument("--n", type=int, default=None, help="evaluate a sequence term at this index")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("limit", help="decide convergence of a sequence term")
+    p = sub.add_parser("limit", parents=common, help="decide convergence of a sequence term")
     p.add_argument("expr")
     p.add_argument("--wrt", default=None, help="segment: limited|all|finite:m|halo:q|galaxy:q")
     p.add_argument("--to", default=None, help="claimed limit (external number)")
@@ -202,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="print the derivation trace")
     p.set_defaults(func=_cmd_limit)
 
-    p = sub.add_parser("cauchy", help="N-Cauchy test for a sequence term")
+    p = sub.add_parser("cauchy", parents=common, help="N-Cauchy test for a sequence term")
     p.add_argument("expr")
     p.add_argument("--neutrix", required=True)
     p.set_defaults(func=_cmd_cauchy)
 
-    p = sub.add_parser("recur", help="stability of a flexible recurrence")
+    p = sub.add_parser("recur", parents=common, help="stability of a flexible recurrence")
     p.add_argument("--f", required=True, help="right-hand side over n, u and external literals")
     p.add_argument("--u0", required=True)
     p.add_argument("--neutrix", required=True)
@@ -215,16 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--n0", type=int, default=0)
-    p.add_argument("--claim", default="stability", help="'report' never exits nonzero")
+    p.add_argument(
+        "--claim", choices=("stability", "report"), default="stability",
+        help="'report' never exits nonzero",
+    )
     p.set_defaults(func=_cmd_recur)
 
-    p = sub.add_parser("borel-ritt", help="construct and check a shadow expansion")
+    p = sub.add_parser("borel-ritt", parents=common, help="construct and check a shadow expansion")
     p.add_argument("--coeffs", required=True, help="comma-separated rationals")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--check-all", action="store_true")
     p.set_defaults(func=_cmd_borel_ritt)
 
-    p = sub.add_parser("match", help="slow-curve matching for eps*y' = f(t,y)")
+    p = sub.add_parser("match", parents=common, help="slow-curve matching for eps*y' = f(t,y)")
     p.add_argument("--f", required=True, help="field f(t, y), e.g. \"-y\"")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--y0", type=float, required=True)
@@ -268,6 +285,15 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # A compiled term evaluates one nested call per level of the tree.
+        print("error: expression too deeply nested to evaluate", file=sys.stderr)
+        return 2
+    except AssertionError as exc:
+        # A cross-check inside the library (Cauchy two-route agreement, the
+        # strong-convergence invariant) contradicted itself.
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -23,14 +23,18 @@ from typing import List, Optional
 
 from . import scale, seq
 from .errors import FlexError, ParseError
-from .extnum import ExternalNumber, from_neutrix, monomial
+from .extnum import ExternalNumber, _rat_text, from_neutrix, monomial
 from .extnum import div as ext_div
 from .scale import Neutrix
-from .seq import ALT, Const, Geom, Term
+from .seq import ALT, Const, Geom, Term, Var, fold
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z])|([()+\-*/^]))")
 
 _NEUTRIX_LETTERS = {"o": scale.OSLASH, "L": scale.POUND, "M": scale.MICRO, "R": scale.FULL}
+
+# Deepest parenthesis nesting the recursive descent accepts; each level costs
+# several interpreter frames.
+_MAX_DEPTH = 100
 
 
 @dataclass
@@ -74,6 +78,7 @@ class _Parser:
         self.tokens = _lex(text)
         self.i = 0
         self.names = names
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -104,7 +109,7 @@ class _Parser:
             if tok.kind == "op" and tok.text in "+-":
                 self.take()
                 rhs = self.signed_term()
-                value = _add(value, _neg(rhs) if tok.text == "-" else rhs)
+                value = _add(value, -rhs if tok.text == "-" else rhs)
             else:
                 return value
 
@@ -115,7 +120,7 @@ class _Parser:
             self.take()
             negate = tok.text == "-"
         value = self.term()
-        return _neg(value) if negate else value
+        return -value if negate else value
 
     def term(self):
         value = self.power()
@@ -211,8 +216,17 @@ class _Parser:
                 source=self.text,
             )
         if tok.kind == "op" and tok.text == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise ParseError(
+                    "parentheses nested too deeply",
+                    position=tok.pos,
+                    expected=f"at most {_MAX_DEPTH} levels",
+                    source=self.text,
+                )
             value = self.expression()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError(
             "syntax error", position=tok.pos, expected="a value or '('", source=self.text
@@ -226,12 +240,6 @@ def _as_rational(value) -> Optional[Fraction]:
         if len(value.rep.terms) == 1 and value.rep.terms[0][1] == 0:
             return value.rep.terms[0][0]
     return None
-
-
-def _neg(x):
-    if isinstance(x, ExternalNumber):
-        return -x
-    return -x  # Term.__neg__
 
 
 def _add(a, b):
@@ -297,58 +305,38 @@ def parse_neutrix(text: str) -> Neutrix:
 
 def parse_recur_rhs(text: str):
     """Parse a recurrence right-hand side over n, u and external literals."""
-    from .recur import UVar
-
     names = _base_names()
     names["n"] = seq.N
-    names["u"] = UVar()
+    names["u"] = Var("u")
     return seq.as_term(_Parser(text, names).parse())
 
 
-class _Var(Term):
-    """Named scalar variable; only used for f(t, y) fields."""
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def __repr__(self):
-        return self.label
-
-    def __hash__(self):
-        return hash(("_Var", self.label))
-
-    def __eq__(self, other):
-        return isinstance(other, _Var) and other.label == self.label
-
-
 def parse_scalar_field(text: str):
-    """Parse a two-variable expression f(t, y) into a float-valued callable."""
-    names = {"t": _Var("t"), "y": _Var("y")}
-    tree = _Parser(text, names).parse()
+    """Parse a two-variable expression f(t, y) into a float-valued callable.
 
-    def run(node, t, y):
-        if isinstance(node, ExternalNumber):
-            if not node.neutrix.is_zero:
-                raise ParseError("neutrices cannot appear in a precise field", position=0, source=text)
-            return node.rep.eval(1.0)
-        if isinstance(node, _Var):
-            return t if node.label == "t" else y
-        if isinstance(node, seq.Add):
-            return run(node.left, t, y) + run(node.right, t, y)
-        if isinstance(node, seq.Mul):
-            return run(node.left, t, y) * run(node.right, t, y)
-        if isinstance(node, seq.Div):
-            return run(node.num, t, y) / run(node.den, t, y)
-        if isinstance(node, seq.Pow):
-            return run(node.base, t, y) ** float(node.exponent)
-        if isinstance(node, seq.Const):
-            return run(node.value, t, y)
-        raise ParseError(f"{node!r} has no numeric meaning in f(t, y)", position=0, source=text)
+    The tree is compiled once into nested closures.  Its only names are t
+    and y, so every constant in it is a precise rational.
+    """
+    tree = _Parser(text, {"t": Var("t"), "y": Var("y")}).parse()
+
+    def number(x: ExternalNumber):
+        value = x.rep.eval(1.0)
+        return lambda t, y: value
+
+    def power(p, a):
+        k = float(p.exponent)
+        return lambda t, y: a(t, y) ** k
 
     if isinstance(tree, ExternalNumber):
-        constant = run(tree, 0.0, 0.0)
-        return lambda t, y: constant
-    return lambda t, y: run(tree, t, y)
+        return number(tree)
+    return fold(tree, {
+        Const: lambda c: number(c.value),
+        Var: lambda v: (lambda t, y: t) if v.name == "t" else (lambda t, y: y),
+        seq.Add: lambda _, a, b: lambda t, y: a(t, y) + b(t, y),
+        seq.Mul: lambda _, a, b: lambda t, y: a(t, y) * b(t, y),
+        seq.Div: lambda _, a, b: lambda t, y: a(t, y) / b(t, y),
+        seq.Pow: power,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +344,12 @@ def parse_scalar_field(text: str):
 # ---------------------------------------------------------------------------
 
 
-def print_neutrix(n: Neutrix) -> str:
-    return str(n)
-
-
 def print_extnum(x: ExternalNumber) -> str:
     return str(x)
 
 
 def print_seq(t: Term) -> str:
-    text, _ = _print_term(t)
+    text, _ = fold(t, _PRINT)
     return text
 
 
@@ -376,37 +360,45 @@ def _wrap(text: str, prec: int, context: int) -> str:
     return f"({text})" if prec < context else text
 
 
-def _print_term(t: Term):
-    if isinstance(t, Const):
-        inner = str(t.value)
-        prec = _SUM if (" + " in inner or " - " in inner) else (_PROD if "*" in inner or inner.startswith("-") or "/" in inner else _ATOM)
-        return inner, prec
-    if isinstance(t, seq.Index):
-        return "n", _ATOM
-    if isinstance(t, seq.AltSign):
-        return "(-1)^n", _POW
-    if isinstance(t, Geom):
-        b = t.base
-        base = str(b.numerator) if b.denominator == 1 else f"({b.numerator}/{b.denominator})"
-        return f"{base}^n", _POW
-    if isinstance(t, seq.Add):
-        lt, lp = _print_term(t.left)
-        rt, rp = _print_term(t.right)
-        return f"{_wrap(lt, lp, _SUM)} + {_wrap(rt, rp, _SUM + 1)}", _SUM
-    if isinstance(t, seq.Mul):
-        lt, lp = _print_term(t.left)
-        rt, rp = _print_term(t.right)
-        return f"{_wrap(lt, lp, _PROD)}*{_wrap(rt, rp, _PROD + 1)}", _PROD
-    if isinstance(t, seq.Div):
-        lt, lp = _print_term(t.num)
-        rt, rp = _print_term(t.den)
-        return f"{_wrap(lt, lp, _PROD)}/{_wrap(rt, rp, _PROD + 1)}", _PROD
-    if isinstance(t, seq.Pow):
-        bt, bp = _print_term(t.base)
-        k = t.exponent
-        if k.denominator == 1 and k >= 0:
-            exp = str(k.numerator)
-        else:
-            exp = f"({k.numerator}/{k.denominator})" if k.denominator != 1 else f"({k.numerator})"
-        return f"{_wrap(bt, bp, _ATOM)}^{exp}", _POW
-    raise TypeError(f"cannot print {t!r}")
+def _print_const(c: Const):
+    inner = str(c.value)
+    prec = _SUM if (" + " in inner or " - " in inner) else (_PROD if "*" in inner or inner.startswith("-") or "/" in inner else _ATOM)
+    return inner, prec
+
+
+def _print_geom(g: Geom):
+    b = g.base
+    base = _rat_text(b) if b.denominator == 1 else f"({_rat_text(b)})"
+    return f"{base}^n", _POW
+
+
+def _print_infix(op: str, prec: int):
+    def rule(_, left, right):
+        (lt, lp), (rt, rp) = left, right
+        return f"{_wrap(lt, lp, prec)}{op}{_wrap(rt, rp, prec + 1)}", prec
+
+    return rule
+
+
+def _print_pow(p: seq.Pow, base):
+    bt, bp = base
+    k = p.exponent
+    if k.denominator == 1 and k >= 0:
+        exp = str(k.numerator)
+    else:
+        exp = f"({k.numerator}/{k.denominator})" if k.denominator != 1 else f"({k.numerator})"
+    return f"{_wrap(bt, bp, _ATOM)}^{exp}", _POW
+
+
+# Each node prints to (text, precedence); a child is parenthesized when it
+# binds looser than its slot in the parent.
+_PRINT = {
+    Const: _print_const,
+    seq.Index: lambda _: ("n", _ATOM),
+    seq.AltSign: lambda _: ("(-1)^n", _POW),
+    Geom: _print_geom,
+    seq.Add: _print_infix(" + ", _SUM),
+    seq.Mul: _print_infix("*", _PROD),
+    seq.Div: _print_infix("/", _PROD),
+    seq.Pow: _print_pow,
+}

@@ -58,6 +58,10 @@ class StepUnstable(FlexError):
     """Integrator step too large relative to the stiffness scale."""
 
 
+class ResultTooLarge(FlexError):
+    """A rational in a result has too many digits to print."""
+
+
 class ParseError(FlexError):
     """Source text rejected by the expression parser."""
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Tuple
 
 from . import scale
-from .errors import DivisionByNeutrix, UnrepresentableDivision
+from .errors import DivisionByNeutrix, ResultTooLarge, UnrepresentableDivision
 from .scale import Neutrix, Rational, power_text
 
 Term = Tuple[Fraction, Fraction]  # (coefficient, exponent), coefficient != 0
@@ -88,14 +88,6 @@ class FormalSeries:
         q = Fraction(q)
         return FormalSeries(tuple((c * c0, q + q0) for c0, q0 in self.terms)) if c else FormalSeries()
 
-    def pow_int(self, k: int) -> "FormalSeries":
-        if k < 0:
-            raise ValueError("pow_int takes a nonnegative exponent")
-        out = FormalSeries.monomial(1, 0)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def inverse(self, target: Neutrix) -> "FormalSeries":
         """Truncated series inverse: terms absorbed by ``target`` are dropped.
 
@@ -152,7 +144,11 @@ class FormalSeries:
 
 
 def _rat_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError as exc:  # past the interpreter's int-to-text digit limit
+        digits = int(max(abs(c.numerator), c.denominator).bit_length() * 0.30103) + 1  # bits * log10(2)
+        raise ResultTooLarge(f"a rational of about {digits} digits is too large to print") from exc
 
 
 def _monomial_text(c: Fraction, q: Fraction, leading: bool) -> str:
@@ -170,7 +166,6 @@ def _monomial_text(c: Fraction, q: Fraction, leading: bool) -> str:
 
 
 ZERO_SERIES = FormalSeries()
-ONE_SERIES = FormalSeries.monomial(1, 0)
 
 
 @dataclass(frozen=True)
@@ -240,18 +235,6 @@ def canonicalize(rep: FormalSeries, neutrix: Neutrix) -> ExternalNumber:
     return ExternalNumber(rep, neutrix)
 
 
-def external(value: Union[Rational, FormalSeries, Neutrix, ExternalNumber],
-             neutrix: Neutrix = scale.ZERO) -> ExternalNumber:
-    """Coerce rationals, series and neutrices into external numbers."""
-    if isinstance(value, ExternalNumber):
-        return value if neutrix.is_zero else ExternalNumber(value.rep, value.neutrix + neutrix)
-    if isinstance(value, Neutrix):
-        return ExternalNumber(ZERO_SERIES, value + neutrix)
-    if isinstance(value, FormalSeries):
-        return ExternalNumber(value, neutrix)
-    return ExternalNumber(FormalSeries.monomial(Fraction(value)), neutrix)
-
-
 def from_neutrix(n: Neutrix) -> ExternalNumber:
     return ExternalNumber(ZERO_SERIES, n)
 
@@ -260,8 +243,6 @@ def monomial(c: Rational, q: Rational = 0, neutrix: Neutrix = scale.ZERO) -> Ext
     return ExternalNumber(FormalSeries.monomial(c, q), neutrix)
 
 
-EPS = monomial(1, 1)
-OMEGA = monomial(1, -1)
 ONE = monomial(1, 0)
 ZERO = ExternalNumber()
 
@@ -309,10 +290,6 @@ def div(num: ExternalNumber, den: ExternalNumber) -> ExternalNumber:
     q_num = prod.rep.leading()[1]
     inv = a2.inverse(noise.scaled(1, -q_num))
     return ExternalNumber(prod.rep * inv, noise)
-
-
-def absolute(a: ExternalNumber) -> ExternalNumber:
-    return abs(a)
 
 
 def neutrix_part(a: ExternalNumber) -> Neutrix:

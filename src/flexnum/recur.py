@@ -28,22 +28,9 @@ from .extnum import ExternalNumber, from_neutrix, monomial, sub
 from .extnum import div as ext_div
 from .extnum import lt as ext_lt
 from .scale import Neutrix
-from .seq import AltSign, Add, Const, Div, Geom, Index, Mul, Pow, Term
+from .seq import AltSign, Add, Const, Div, Geom, Index, Mul, Pow, Term, Var, fold
 
 _OVERFLOW = 1e300
-
-
-class UVar(Term):
-    """The previous value u_n inside a recurrence right-hand side."""
-
-    def __repr__(self):
-        return "u"
-
-    def __hash__(self):
-        return hash("UVar")
-
-    def __eq__(self, other):
-        return isinstance(other, UVar)
 
 
 @dataclass(frozen=True)
@@ -59,22 +46,7 @@ class RecurrenceSpec:
     n0: int = 0
 
     def parameters(self) -> List[ExternalNumber]:
-        out: List[ExternalNumber] = []
-
-        def walk(node):
-            if isinstance(node, Const):
-                out.append(node.value)
-            elif isinstance(node, (Add, Mul)):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, Div):
-                walk(node.num)
-                walk(node.den)
-            elif isinstance(node, Pow):
-                walk(node.base)
-
-        walk(self.f)
-        return out
+        return _compile(self.f)[1]
 
 
 @dataclass(frozen=True)
@@ -86,60 +58,57 @@ class RepresentativePath:
     draws: Tuple[np.ndarray, ...]  # one (H,) array per parameter occurrence
 
 
-def _compile(f: Term) -> Tuple[Callable, int]:
-    """Compile f into fn(n, u, draws) -> value; returns the parameter count.
+def _compile(f: Term) -> Tuple[Callable, List[ExternalNumber]]:
+    """Compile f into fn(n, u, draws) -> value, plus its Const leaves in fold order.
 
-    Draws are indexed in Const-leaf order; evaluation broadcasts over numpy
-    arrays so many paths advance in one call.
+    ``draws[i]`` is the value drawn for the i-th leaf returned; evaluation
+    broadcasts over numpy arrays so many paths advance in one call.
     """
-    counter = [0]
+    params: List[ExternalNumber] = []
 
-    def build(node):
-        if isinstance(node, Const):
-            idx = counter[0]
-            counter[0] += 1
-            return lambda n, u, draws: draws[idx]
-        if isinstance(node, UVar):
-            return lambda n, u, draws: u
-        if isinstance(node, Index):
-            return lambda n, u, draws: n
-        if isinstance(node, AltSign):
-            return lambda n, u, draws: float((-1) ** (n % 2))
-        if isinstance(node, Geom):
-            b = float(node.base)
-            return lambda n, u, draws: b ** n
-        if isinstance(node, Add):
-            fl, fr = build(node.left), build(node.right)
-            return lambda n, u, draws: fl(n, u, draws) + fr(n, u, draws)
-        if isinstance(node, Mul):
-            fl, fr = build(node.left), build(node.right)
-            return lambda n, u, draws: fl(n, u, draws) * fr(n, u, draws)
-        if isinstance(node, Div):
-            fl, fr = build(node.num), build(node.den)
-            return lambda n, u, draws: fl(n, u, draws) / fr(n, u, draws)
-        if isinstance(node, Pow):
-            fb = build(node.base)
-            k = float(node.exponent)
-            return lambda n, u, draws: fb(n, u, draws) ** k
-        raise TypeError(f"cannot compile {node!r}")
+    def const(c):
+        i = len(params)
+        params.append(c.value)
+        return lambda n, u, draws: draws[i]
 
-    fn = build(f)
-    return fn, counter[0]
+    def var(v):
+        if v.name != "u":
+            raise TypeError(f"unknown variable {v!r} in a recurrence")
+        return lambda n, u, draws: u
+
+    def geom(g):
+        b = float(g.base)
+        return lambda n, u, draws: b ** n
+
+    def power(p, a):
+        k = float(p.exponent)
+        return lambda n, u, draws: a(n, u, draws) ** k
+
+    fn = fold(f, {
+        Const: const,
+        Var: var,
+        Index: lambda _: lambda n, u, draws: n,
+        AltSign: lambda _: lambda n, u, draws: float((-1) ** (n % 2)),
+        Geom: geom,
+        Add: lambda _, a, b: lambda n, u, draws: a(n, u, draws) + b(n, u, draws),
+        Mul: lambda _, a, b: lambda n, u, draws: a(n, u, draws) * b(n, u, draws),
+        Div: lambda _, a, b: lambda n, u, draws: a(n, u, draws) / b(n, u, draws),
+        Pow: power,
+    })
+    return fn, params
 
 
-def _compile_sum_terms(f: Term) -> Optional[List[Term]]:
-    """Flatten a top-level sum; None when f is not a sum."""
-    terms: List[Term] = []
+def _whole(node, *_):
+    return [node]
 
-    def walk(node):
-        if isinstance(node, Add):
-            walk(node.left)
-            walk(node.right)
-        else:
-            terms.append(node)
 
-    walk(f)
-    return terms
+_SUMMANDS = {cls: _whole for cls in (Const, Var, Index, AltSign, Geom, Mul, Div, Pow)}
+_SUMMANDS[Add] = lambda _, a, b: a + b
+
+
+def _summands(f: Term) -> List[Term]:
+    """The top-level summands of f, left to right; [f] when f is not a sum."""
+    return fold(f, _SUMMANDS)
 
 
 def sample_paths(
@@ -159,22 +128,18 @@ def sample_paths(
     if count < 1:
         raise ValueError("need at least one path")
     rng = np.random.default_rng([conc.seed, seed])
-    params = spec.parameters()
     h = spec.horizon
     values = np.empty((h + 1, count), dtype=float)
     values[0] = conc.sample(spec.u0, rng, size=count)
-    draw_log = [np.empty((h, count), dtype=float) for _ in params]
 
     if compensated:
-        parts = _compile_sum_terms(spec.f)
-        compiled = [_compile(t) for t in parts]
+        compiled = [_compile(t) for t in _summands(spec.f)]
+        # Each summand reads its own slice of the draws, in leaf order.
+        params: List[ExternalNumber] = []
         spans = []
-        base = 0
-        for t, (_, k) in zip(parts, compiled):
-            spans.append((base, base + k))
-            base += k
-        if base != len(params):
-            raise AssertionError("parameter count mismatch in compensated mode")
+        for _, leaves in compiled:
+            spans.append((len(params), len(params) + len(leaves)))
+            params += leaves
 
         def step(n, u, draws):
             total = np.zeros_like(u)
@@ -190,11 +155,9 @@ def sample_paths(
             return total + err
 
     else:
-        fn, k = _compile(spec.f)
+        step, params = _compile(spec.f)
 
-        def step(n, u, draws):
-            return fn(n, u, draws)
-
+    draw_log = [np.empty((h, count), dtype=float) for _ in params]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(h):
             n = spec.n0 + i
@@ -311,7 +274,7 @@ def affine_closed_form(
 def affine_spec(alpha: ExternalNumber, noise: Neutrix, u0: ExternalNumber,
                 horizon: int, n0: int = 0) -> RecurrenceSpec:
     """The recurrence u_{n+1} = alpha*u_n + noise as a term."""
-    f: Term = Mul(Const(alpha), UVar())
+    f: Term = Mul(Const(alpha), Var("u"))
     if not noise.is_zero:
         f = Add(f, Const(from_neutrix(noise)))
     return RecurrenceSpec(f, u0, horizon, n0)
@@ -319,19 +282,18 @@ def affine_spec(alpha: ExternalNumber, noise: Neutrix, u0: ExternalNumber,
 
 def _match_affine(f: Term) -> Optional[Tuple[ExternalNumber, Neutrix]]:
     """Recognize alpha*u + N (in any order); None for anything else."""
-    parts = _compile_sum_terms(f)
     alpha = None
     noise = scale.ZERO
-    for p in parts:
-        if isinstance(p, UVar):
+    for p in _summands(f):
+        if p == Var("u"):
             if alpha is not None:
                 return None
             alpha = monomial(1)
         elif isinstance(p, Mul):
             a, b = p.left, p.right
-            if isinstance(a, Const) and isinstance(b, UVar):
+            if isinstance(a, Const) and b == Var("u"):
                 cand = a.value
-            elif isinstance(b, Const) and isinstance(a, UVar):
+            elif isinstance(b, Const) and a == Var("u"):
                 cand = b.value
             else:
                 return None
@@ -386,8 +348,7 @@ class StabilityVerdict:
 
 def reference_path(spec: RecurrenceSpec, conc: Concretization) -> np.ndarray:
     """The deterministic center path: every draw replaced by its center value."""
-    fn, k = _compile(spec.f)
-    params = spec.parameters()
+    fn, params = _compile(spec.f)
     centers = [np.array([conc.center(p)]) for p in params]
     vals = np.empty(spec.horizon + 1)
     vals[0] = conc.center(spec.u0)
@@ -490,8 +451,7 @@ def _classify_sampled(
         "horizon": spec.horizon,
     }
     rng = np.random.default_rng([conc.seed, seed, 7])
-    fn, _ = _compile(spec.f)
-    params = spec.parameters()
+    fn, params = _compile(spec.f)
 
     def run_difference(d0: np.ndarray) -> np.ndarray:
         u = ref[0] + d0

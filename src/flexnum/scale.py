@@ -186,14 +186,6 @@ OSLASH = oslash(0)
 POUND = pound(0)
 
 
-def neutrix_add(n: Neutrix, m: Neutrix) -> Neutrix:
-    return n + m
-
-
-def neutrix_mul(n: Neutrix, m: Neutrix) -> Neutrix:
-    return n * m
-
-
 def neutrix_cmp(n: Neutrix, m: Neutrix) -> int:
     """-1, 0 or 1 per the inclusion order (smaller set first)."""
     if n == m:

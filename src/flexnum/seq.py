@@ -7,6 +7,10 @@ the alternating sign and external-number coefficients:
     Const(x) | N (the index) | ALT ((-1)^n) | Add | Mul | Div
     | Pow(term, rational) | Geom(b)  (b^n, b a positive rational)
 
+Every walk over a term is a rule table handed to :func:`fold`.  A ``Var``
+leaf names a variable outside the grammar (the previous value of a
+recurrence, the arguments of a field); only compiled folds give it a value.
+
 Convergence of arbitrary external sequences is undecidable; on this fragment
 every term normalizes to a finite sum of
 
@@ -23,11 +27,10 @@ second regime.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from . import scale
 from .errors import (
@@ -37,7 +40,8 @@ from .errors import (
     Unnormalizable,
     ZerolessRequired,
 )
-from .extnum import ExternalNumber, FormalSeries, from_neutrix, monomial, subset
+from .extnum import ExternalNumber, FormalSeries, _rat_text, from_neutrix, monomial, subset
+from .extnum import div as ext_div
 from .scale import Neutrix, Rational
 
 _MAX_DIV_ROUNDS = 48
@@ -137,8 +141,58 @@ class Geom(Term):
         object.__setattr__(self, "base", b)
 
 
+@dataclass(frozen=True, repr=False)
+class Var(Term):
+    """A named variable: ``u`` in a recurrence, ``t`` and ``y`` in a field."""
+
+    name: str
+
+    def __repr__(self):
+        return self.name
+
+
 N = Index()
 ALT = AltSign()
+
+
+def fold(u: Term, rules: Mapping[type, Callable]):
+    """Fold a term bottom up: each node becomes ``rules[type(node)](node, *kids)``
+    with its children already folded, left to right.
+
+    The only code that knows which fields of a node are its children.  The
+    walk keeps its own stack, so deep terms do not meet the recursion limit.
+    A node without a rule raises TypeError when the walk reaches it.
+    """
+    # Pre-order visiting the right child first; reversed, it is the
+    # left-to-right post-order in which the rules run.
+    order = []
+    stack = [u]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Add or cls is Mul:
+            kids: tuple = (node.left, node.right)
+        elif cls is Div:
+            kids = (node.num, node.den)
+        elif cls is Pow:
+            kids = (node.base,)
+        else:
+            kids = ()
+        order.append((node, len(kids)))
+        stack.extend(kids)
+    done: list = []
+    for node, arity in reversed(order):
+        rule = rules.get(type(node))
+        if rule is None:
+            raise TypeError(f"unknown term {node!r}")
+        if arity == 2:
+            right = done.pop()
+            done.append(rule(node, done.pop(), right))
+        elif arity == 1:
+            done.append(rule(node, done.pop()))
+        else:
+            done.append(rule(node))
+    return done[0]
 
 
 def as_term(x) -> Term:
@@ -153,10 +207,6 @@ def as_term(x) -> Term:
     raise TypeError(f"cannot interpret {x!r} as a sequence term")
 
 
-def const(x) -> Term:
-    return as_term(x)
-
-
 def neutrix_seq(noise: Neutrix, scale_term: Term) -> Term:
     """The sequence n -> noise * scale_term(n); sugar for Mul(Const(noise), term)."""
     return Mul(Const(from_neutrix(noise)), as_term(scale_term))
@@ -166,28 +216,29 @@ def reindex(u: Term, k: int, j: int = 0) -> Term:
     """Substitute n -> k*n + j (k >= 1): an arithmetic subsequence."""
     if k < 1 or j < 0:
         raise ValueError("need k >= 1 and j >= 0")
-    if isinstance(u, Const):
-        return u
-    if isinstance(u, Index):
+
+    def index(_):
         out: Term = N if k == 1 else Mul(Const(monomial(k)), N)
         return Add(out, Const(monomial(j))) if j else out
-    if isinstance(u, AltSign):
-        unit = monomial((-1) ** (j % 2))
-        if k % 2 == 0:
-            return Const(unit)
-        return Mul(Const(unit), ALT)
-    if isinstance(u, Geom):
-        shifted: Term = Geom(u.base ** k)
-        return Mul(Const(monomial(u.base ** j)), shifted) if j else shifted
-    if isinstance(u, Add):
-        return Add(reindex(u.left, k, j), reindex(u.right, k, j))
-    if isinstance(u, Mul):
-        return Mul(reindex(u.left, k, j), reindex(u.right, k, j))
-    if isinstance(u, Div):
-        return Div(reindex(u.num, k, j), reindex(u.den, k, j))
-    if isinstance(u, Pow):
-        return Pow(reindex(u.base, k, j), u.exponent)
-    raise TypeError(f"unknown term {u!r}")
+
+    def alt(_):
+        unit = Const(monomial((-1) ** (j % 2)))
+        return unit if k % 2 == 0 else Mul(unit, ALT)
+
+    def geom(g):
+        shifted: Term = Geom(g.base ** k)
+        return Mul(Const(monomial(g.base ** j)), shifted) if j else shifted
+
+    return fold(u, {
+        Const: lambda c: c,
+        Index: index,
+        AltSign: alt,
+        Geom: geom,
+        Add: lambda _, a, b: Add(a, b),
+        Mul: lambda _, a, b: Mul(a, b),
+        Div: lambda _, a, b: Div(a, b),
+        Pow: lambda p, a: Pow(a, p.exponent),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +247,6 @@ def reindex(u: Term, k: int, j: int = 0) -> Term:
 
 
 def _ext_pow(v: ExternalNumber, k: Fraction) -> ExternalNumber:
-    from .extnum import div as ext_div
-
     if k.denominator == 1:
         e = k.numerator
         if e >= 0:
@@ -249,33 +298,36 @@ def _rational_pow(c: Fraction, k: Fraction) -> Optional[Fraction]:
     return root ** e if e >= 0 else Fraction(1) / (root ** (-e))
 
 
+def _eval_div(num: Callable, den: Callable) -> Callable:
+    def at(n: int) -> ExternalNumber:
+        d = den(n)
+        try:
+            return ext_div(num(n), d)
+        except DivisionByNeutrix as exc:
+            raise EvalDomain(f"division by {d} at n={n}") from exc
+
+    return at
+
+
+# Compiles a term into n -> u_n.  A quotient evaluates its denominator first,
+# so a failing denominator is the error reported.
+_EVAL = {
+    Const: lambda c: lambda n: c.value,
+    Index: lambda _: lambda n: monomial(n),
+    AltSign: lambda _: lambda n: monomial((-1) ** (n % 2)),
+    Geom: lambda g: lambda n: monomial(g.base ** n),
+    Add: lambda _, a, b: lambda n: a(n) + b(n),
+    Mul: lambda _, a, b: lambda n: a(n) * b(n),
+    Div: lambda _, a, b: _eval_div(a, b),
+    Pow: lambda p, a: lambda n: _ext_pow(a(n), p.exponent),
+}
+
+
 def eval_at(u: Term, n: int) -> ExternalNumber:
     """The external number u_n, folded exactly through external arithmetic."""
-    from .extnum import div as ext_div
-
     if n < 0:
         raise EvalDomain("indices are natural numbers")
-    if isinstance(u, Const):
-        return u.value
-    if isinstance(u, Index):
-        return monomial(n)
-    if isinstance(u, AltSign):
-        return monomial((-1) ** (n % 2))
-    if isinstance(u, Geom):
-        return monomial(u.base ** n)
-    if isinstance(u, Add):
-        return eval_at(u.left, n) + eval_at(u.right, n)
-    if isinstance(u, Mul):
-        return eval_at(u.left, n) * eval_at(u.right, n)
-    if isinstance(u, Div):
-        den = eval_at(u.den, n)
-        try:
-            return ext_div(eval_at(u.num, n), den)
-        except DivisionByNeutrix as exc:
-            raise EvalDomain(f"division by {den} at n={n}") from exc
-    if isinstance(u, Pow):
-        return _ext_pow(eval_at(u.base, n), u.exponent)
-    raise TypeError(f"unknown term {u!r}")
+    return fold(u, _EVAL)(n)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +376,11 @@ class NormalForm:
             raise EvalDomain("normal forms are defined for n >= 1")
         series = []
         for (q, r, b, alt), c in self.point:
-            f = _rat_pow_int(Fraction(n), r)
+            f = _rational_pow(Fraction(n), r)
             if f is None:
                 raise EvalDomain(f"n^{r} irrational at n={n}")
             val = c * f * b ** n * ((-1) ** (n % 2) if alt else 1)
             series.append((val, q))
-        out = from_neutrix(scale.ZERO)
         noise = scale.ZERO
         for _, nx in self.noise:
             noise = noise + nx
@@ -347,10 +398,6 @@ class NormalForm:
         return text + "  [for large n]" if self.trimmed else text
 
 
-def _rat_pow_int(x: Fraction, r: Fraction) -> Optional[Fraction]:
-    return _rational_pow(x, r)
-
-
 def _factor_text(r: Fraction, b: Fraction, alt: bool) -> list:
     out = []
     if r != 0:
@@ -361,7 +408,7 @@ def _factor_text(r: Fraction, b: Fraction, alt: bool) -> list:
         else:
             out.append(f"n^({r.numerator}/{r.denominator})")
     if b != 1:
-        base = str(b.numerator) if b.denominator == 1 else f"({b.numerator}/{b.denominator})"
+        base = _rat_text(b) if b.denominator == 1 else f"({_rat_text(b)})"
         out.append(f"{base}^n")
     if alt:
         out.append("(-1)^n")
@@ -566,10 +613,6 @@ def _noise_in_noise(key1: NKey, n1: Neutrix, key2: NKey, n2: Neutrix) -> bool:
     return n1 <= n2
 
 
-def _tail_in_noise(t: TKey, key: NKey, nx: Neutrix) -> bool:
-    return _point_in_noise(t[1], t[2], t[3], key, nx)
-
-
 def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     if not den.point and not den.noise:
         raise Unnormalizable("division by the zero sequence")
@@ -656,7 +699,7 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
             keep.add_noise(nx, key[0], key[1])
             finished = False
         for t in power.tails:
-            if any(_tail_in_noise(t, key2, nx2) for key2, nx2 in result.noise):
+            if any(_point_in_noise(*t[1:], key2, nx2) for key2, nx2 in result.noise):
                 dropped = True
                 continue
             keep.tails.append(t)
@@ -729,6 +772,26 @@ def _nf_pow(a: NormalForm, k: Fraction) -> NormalForm:
     return NormalForm(point=(((q * k, r * k, broot, False), croot),))
 
 
+def _nf_const(c: Const) -> NormalForm:
+    b = _Builder()
+    for coeff, q in c.value.rep.terms:
+        b.add_point(coeff, q, _ZERO, _ONE, False)
+    b.add_noise(c.value.neutrix, _ZERO, _ONE)
+    return b.freeze()
+
+
+_NORMALIZE = {
+    Const: _nf_const,
+    Index: lambda _: NormalForm(point=(((_ZERO, _ONE, _ONE, False), _ONE),)),
+    AltSign: lambda _: NormalForm(point=(((_ZERO, _ZERO, _ONE, True), _ONE),)),
+    Geom: lambda g: NormalForm(point=(((_ZERO, _ZERO, g.base, False), _ONE),)),
+    Add: lambda _, a, b: _nf_add(a, b),
+    Mul: lambda _, a, b: _nf_mul(a, b),
+    Div: lambda _, a, b: _nf_div(a, b),
+    Pow: lambda p, a: _nf_pow(a, p.exponent),
+}
+
+
 def normalize(u: Term) -> NormalForm:
     """Decidable normal form of a grammar term.
 
@@ -736,27 +799,7 @@ def normalize(u: Term) -> NormalForm:
     is not eventually zeroless, fractional powers of sums, a divided
     remainder that does not vanish).
     """
-    if isinstance(u, Const):
-        b = _Builder()
-        for c, q in u.value.rep.terms:
-            b.add_point(c, q, _ZERO, _ONE, False)
-        b.add_noise(u.value.neutrix, _ZERO, _ONE)
-        return b.freeze()
-    if isinstance(u, Index):
-        return NormalForm(point=(((_ZERO, _ONE, _ONE, False), _ONE),))
-    if isinstance(u, AltSign):
-        return NormalForm(point=(((_ZERO, _ZERO, _ONE, True), _ONE),))
-    if isinstance(u, Geom):
-        return NormalForm(point=(((_ZERO, _ZERO, u.base, False), _ONE),))
-    if isinstance(u, Add):
-        return _nf_add(normalize(u.left), normalize(u.right))
-    if isinstance(u, Mul):
-        return _nf_mul(normalize(u.left), normalize(u.right))
-    if isinstance(u, Div):
-        return _nf_div(normalize(u.num), normalize(u.den))
-    if isinstance(u, Pow):
-        return _nf_pow(normalize(u.base), u.exponent)
-    raise TypeError(f"unknown term {u!r}")
+    return fold(u, _NORMALIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -804,9 +847,6 @@ class LimitReport:
             "witness": self.witness,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _diverges(witness: str) -> LimitReport:
     return LimitReport(Status.DIVERGES, None, None, False, witness)
@@ -832,7 +872,7 @@ def n_limit(u: Term) -> LimitReport:
             continue
         if alt:
             minimal = minimal + scale.pound(q)
-            lines.append(f"  oscillation of amplitude {_rat_text_local(c)}*e^{q} -> minimal neutrix joins {scale.pound(q)}")
+            lines.append(f"  oscillation of amplitude {_rat_text(c)}*e^{q} -> minimal neutrix joins {scale.pound(q)}")
         else:
             rep_terms.append((c, q))
             lines.append(f"  constant term {_point_text(c, q, r, b, alt)} joins the representative")
@@ -851,10 +891,6 @@ def n_limit(u: Term) -> LimitReport:
     strong = _tail_containment(nf, limit)
     lines.append(f"limit {limit}, minimal neutrix {minimal}, strong={strong}")
     return LimitReport(Status.CONVERGES, limit, minimal, strong, "\n".join(lines))
-
-
-def _rat_text_local(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _tail_containment(nf: NormalForm, limit: ExternalNumber) -> bool:
@@ -877,7 +913,7 @@ def _tail_containment(nf: NormalForm, limit: ExternalNumber) -> bool:
         if not _noise_in_noise((r, b), nx, target_key, target):
             return False
     for t in nf.tails:
-        if not _tail_in_noise(t, target_key, target):
+        if not _point_in_noise(*t[1:], target_key, target):
             return False
     return True
 
@@ -941,8 +977,6 @@ def limit_arith(op: str, a: LimitReport, b: Optional[LimitReport] = None) -> Lim
             f"mul: predicted neutrix {k}",
         )
     if op == "recip":
-        from .extnum import div as ext_div
-
         if not alpha.is_zeroless:
             raise ZerolessRequired(f"reciprocal of a limit containing zero: {alpha}")
         lim = ext_div(monomial(1), alpha)
@@ -994,7 +1028,7 @@ def eventually_subset(u: Term, v: Term) -> bool:
         if not any(_point_in_noise(q, r, b, k2, n2) for k2, n2 in noise_v):
             return False
     for t in list(nu.tails) + list(nv.tails):
-        if not any(_tail_in_noise(t, k2, n2) for k2, n2 in noise_v):
+        if not any(_point_in_noise(*t[1:], k2, n2) for k2, n2 in noise_v):
             return False
     return True
 
@@ -1008,7 +1042,7 @@ def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
         if not any(_point_in_noise(key[0], key[1], key[2], k2, n2) for k2, n2 in d.noise)
     ]
     if not surviving:
-        tails_ok = all(any(_tail_in_noise(t, k2, n2) for k2, n2 in d.noise) for t in d.tails)
+        tails_ok = all(any(_point_in_noise(*t[1:], k2, n2) for k2, n2 in d.noise) for t in d.tails)
         return None if tails_ok else False
     # Group by magnitude class; an alternating and a constant member of the
     # same class combine to c +- |a|.

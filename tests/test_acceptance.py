@@ -1,9 +1,10 @@
 """Acceptance suite: golden facts, theorem cross-checks and the numeric oracle.
 
 Each criterion prints one PASS/FAIL line (written straight to the terminal so
-it shows under pytest's capture).  Later criteria replay the boolean
-decisions of earlier ones against the concretizer, so the module accumulates
-them in a shared DecisionLog; tests run in definition order.
+it shows under pytest's capture).  Criterion 7 replays the boolean decisions
+of criteria 1-6 against the concretizer; a module-scoped fixture runs those
+six once and records them in a DecisionLog, so every criterion also passes
+when run alone.
 """
 
 import math
@@ -45,7 +46,6 @@ from flexnum.seq import (
 from test_recur import drain_spec
 
 ORACLE_EPS0S = (1e-3, 1e-5)
-LOG = support.DecisionLog()
 REPORT_LINES = []
 
 one = monomial(1)
@@ -62,25 +62,23 @@ def report(num: int, ok: bool, text: str) -> None:
     print(line, file=sys.__stdout__, flush=True)
 
 
-def test_criterion_1_golden_order_facts():
+def _golden_order_facts(log):
     o = from_neutrix(OSLASH)
     L = from_neutrix(POUND)
     eps = monomial(1, 1)
     one_eL = one + from_neutrix(pound(1))
     facts = [
-        LOG.order("gt", one_eL, o, gt(one_eL, o)),
-        LOG.order("ge", o, L, ge(o, L)),
-        not LOG.order("le", L, o, le(L, o)),
-        LOG.order("le", eps, o, le(eps, o)),
-        LOG.order("ge", eps, o, ge(eps, o)),
-        LOG.order("le", o, L, le(o, L)),
+        log.order("gt", one_eL, o, gt(one_eL, o)),
+        log.order("ge", o, L, ge(o, L)),
+        not log.order("le", L, o, le(L, o)),
+        log.order("le", eps, o, le(eps, o)),
+        log.order("ge", eps, o, ge(eps, o)),
+        log.order("le", o, L, le(o, L)),
     ]
-    ok = all(facts)
-    report(1, ok, "golden order facts hold exactly as stated")
-    assert ok
+    return all(facts), "golden order facts hold exactly as stated", facts
 
 
-def test_criterion_2_product_example_reproduction():
+def _product_example(log):
     uv = Mul(u_term, v_term)
     expected_nf = seq.NormalForm(
         point=(((Fraction(0), Fraction(-3), Fraction(1), False), Fraction(1)),),
@@ -94,12 +92,12 @@ def test_criterion_2_product_example_reproduction():
     checks.append(normalize(uv) == expected_nf)
     r_uv = n_limit(uv)
     checks.append(r_uv.minimal_neutrix == oslash(1))
-    checks.append(LOG.limit(uv, monomial(0), oslash(1), n_converges(uv, monomial(0), oslash(1))))
+    checks.append(log.limit(uv, monomial(0), oslash(1), n_converges(uv, monomial(0), oslash(1))))
 
     uw = Mul(u_term, w_term)
     r_uw = n_limit(uw)
     checks.append(r_uw.minimal_neutrix == oslash(-2))
-    checks.append(LOG.limit(uw, monomial(0), oslash(-2), n_converges(uw, monomial(0), oslash(-2))))
+    checks.append(log.limit(uw, monomial(0), oslash(-2), n_converges(uw, monomial(0), oslash(-2))))
 
     ww = Mul(w_term, w_term)
     pred = limit_arith("mul", n_limit(w_term), n_limit(w_term))
@@ -117,55 +115,51 @@ def test_criterion_2_product_example_reproduction():
     witness = b * a - a * a
     checks.append(not subset(witness, from_neutrix(pound(-1))))
     checks.append(
-        not LOG.limit(ww, omega4, pound(-1), n_converges(ww, omega4, pound(-1)))
+        not log.limit(ww, omega4, pound(-1), n_converges(ww, omega4, pound(-1)))
     )
-    ok = all(checks)
-    report(2, ok, "product example: normal form, e*o / w^2*o limits, w^3*L prediction, divergence witness")
-    assert ok, checks
+    text = "product example: normal form, e*o / w^2*o limits, w^3*L prediction, divergence witness"
+    return all(checks), text, checks
 
 
-def test_criterion_3_alternating_suite():
+def _alternating_suite(log):
     r = n_limit(ALT)
     checks = [
-        LOG.limit(ALT, monomial(0), POUND, n_converges(ALT, monomial(0), POUND)),
-        not LOG.limit(ALT, monomial(0), OSLASH, n_converges(ALT, monomial(0), OSLASH)),
+        log.limit(ALT, monomial(0), POUND, n_converges(ALT, monomial(0), POUND)),
+        not log.limit(ALT, monomial(0), OSLASH, n_converges(ALT, monomial(0), OSLASH)),
         r.minimal_neutrix == POUND,
     ]
-    ok = all(checks)
-    report(3, ok, "(-1)^n is L-convergent, o-divergent, minimal neutrix L")
-    assert ok
+    return all(checks), "(-1)^n is L-convergent, o-divergent, minimal neutrix L", checks
 
 
 CORPUS_NOISY = support.convergent_corpus(220, seed=4001, require_noise=True)
 CORPUS_MIXED = support.convergent_corpus(160, seed=4002)
 
 
-def test_criterion_4_strong_convergence_theorem():
+def _strong_convergence(log):
     failures = 0
     for t in CORPUS_NOISY:
         r = n_limit(t)
-        assert r.converges and not r.minimal_neutrix.is_zero
+        if not r.converges or r.minimal_neutrix.is_zero:
+            failures += 1
+            continue
         ok = n_converges(t, r.limit, r.minimal_neutrix) and r.strong
-        LOG.limit(t, r.limit, r.minimal_neutrix, ok)
+        log.limit(t, r.limit, r.minimal_neutrix, ok)
         failures += not ok
     counter = neutrix_seq(OSLASH, Div(Const(one), N))
     rc = n_limit(counter)
     counter_ok = rc.converges and rc.limit == monomial(0) and not rc.strong
-    LOG.limit(counter, monomial(0), ZERO, rc.converges)
-    ok = failures == 0 and counter_ok
-    report(
-        4,
-        ok,
+    log.limit(counter, monomial(0), ZERO, rc.converges)
+    text = (
         f"strong convergence: {len(CORPUS_NOISY)} noisy-limit terms tail-contained, "
-        "o/n converges but not strongly",
+        "o/n converges but not strongly"
     )
-    assert ok
+    return failures == 0 and counter_ok, text, (failures, counter_ok)
 
 
 CAUCHY_LEVELS = [ZERO, MICRO, pound(1), OSLASH, POUND]
 
 
-def test_criterion_5_cauchy_equivalence():
+def _cauchy_equivalence(log):
     terms = CORPUS_MIXED + CORPUS_NOISY[:40] + [N, Mul(ALT, N), neutrix_seq(OSLASH, N)]
     disagreements = 0
     checked = 0
@@ -184,13 +178,12 @@ def test_criterion_5_cauchy_equivalence():
             expected = r.converges and r.minimal_neutrix <= nx
             disagreements += got != expected
             if r.converges:
-                LOG.limit(t, r.limit, nx, got and n_converges(t, r.limit, nx))
-    ok = disagreements == 0
-    report(5, ok, f"Cauchy equivalence: {checked} (term, N) decisions, {disagreements} disagreements")
-    assert ok
+                log.limit(t, r.limit, nx, got and n_converges(t, r.limit, nx))
+    text = f"Cauchy equivalence: {checked} (term, N) decisions, {disagreements} disagreements"
+    return disagreements == 0, text, disagreements
 
 
-def test_criterion_6_operation_theorems():
+def _operation_theorems(log):
     rng = random.Random(4003)
     pool = CORPUS_MIXED + CORPUS_NOISY[:60]
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(500)]
@@ -208,7 +201,7 @@ def test_criterion_6_operation_theorems():
             good = prediction_consistent(pred, actual)
             failures += not good
             if i % 25 == 0 and pred.minimal_neutrix is not None and not pred.minimal_neutrix.is_full:
-                LOG.limit(combined, pred.limit, pred.minimal_neutrix, good)
+                log.limit(combined, pred.limit, pred.minimal_neutrix, good)
         if ra.limit.is_zeroless:
             try:
                 pred = limit_arith("recip", ra)
@@ -217,29 +210,76 @@ def test_criterion_6_operation_theorems():
                 continue
             recip_checked += 1
             failures += not prediction_consistent(pred, actual)
-    ok = failures == 0
-    report(
-        6,
-        ok,
+    text = (
         f"operation theorems: 500 pairs x (add, sub, mul) + {recip_checked} reciprocals, "
-        f"{failures} failures",
+        f"{failures} failures"
     )
-    assert ok
+    return failures == 0, text, failures
 
 
-def test_criterion_7_oracle_consistency():
-    assert LOG.orders and LOG.limits, "criteria 1-6 populate the decision log"
+# Criteria 1-6 in order.  Each records its boolean decisions in the log it is
+# given and returns (ok, report text, failure detail).
+DECISIONS = (
+    _golden_order_facts,
+    _product_example,
+    _alternating_suite,
+    _strong_convergence,
+    _cauchy_equivalence,
+    _operation_theorems,
+)
+
+
+@pytest.fixture(scope="module")
+def decided():
+    """Criteria 1-6, run once per module in order, and their decision log."""
+    log = support.DecisionLog()
+    return log, [decide(log) for decide in DECISIONS]
+
+
+def _judge(decided, num: int) -> None:
+    ok, text, detail = decided[1][num - 1]
+    report(num, ok, text)
+    assert ok, detail
+
+
+def test_criterion_1_golden_order_facts(decided):
+    _judge(decided, 1)
+
+
+def test_criterion_2_product_example_reproduction(decided):
+    _judge(decided, 2)
+
+
+def test_criterion_3_alternating_suite(decided):
+    _judge(decided, 3)
+
+
+def test_criterion_4_strong_convergence_theorem(decided):
+    _judge(decided, 4)
+
+
+def test_criterion_5_cauchy_equivalence(decided):
+    _judge(decided, 5)
+
+
+def test_criterion_6_operation_theorems(decided):
+    _judge(decided, 6)
+
+
+def test_criterion_7_oracle_consistency(decided):
+    log = decided[0]
+    assert log.orders and log.limits, "criteria 1-6 populate the decision log"
     disagreements = []
     checked = skipped = 0
     for eps0 in ORACLE_EPS0S:
         conc = Concretization(eps0=eps0, seed=777)
-        for i, (rel, a, b, expected) in enumerate(LOG.orders):
+        for i, (rel, a, b, expected) in enumerate(log.orders):
             verdict = support.order_oracle(rel, a, b, expected, conc, samples=64, stream=i)
             checked += verdict == support.AGREE
             skipped += verdict == support.SKIP
             if verdict == support.DISAGREE:
                 disagreements.append((eps0, rel, str(a), str(b), expected))
-        for i, (term, alpha, nx, expected) in enumerate(LOG.limits):
+        for i, (term, alpha, nx, expected) in enumerate(log.limits):
             verdict = support.limit_oracle(term, alpha, nx, expected, conc, samples=64, stream=i)
             checked += verdict == support.AGREE
             skipped += verdict == support.SKIP

@@ -1,6 +1,13 @@
 import json
+import os
+import shlex
 
+import pytest
+
+from flexnum import recur, seq
 from flexnum.cli import main
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *args):
@@ -134,3 +141,87 @@ class TestMatch:
             capsys, "match", "--f", "y", "--eps", "1e-4", "--y0", "1", "--tmax", "1e-3", "--dt", "auto"
         )
         assert code == 2 and "approach" in err
+
+
+def _readme_commands():
+    with open(README) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("flexnum ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_lines_exit_0(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
+class TestCommonOptions:
+    def test_leading_trailing_and_default_format(self, capsys):
+        _, leading, _ = run(capsys, "--format", "json", "limit", "1/n + o")
+        _, trailing, _ = run(capsys, "limit", "1/n + o", "--format", "json")
+        _, default, _ = run(capsys, "limit", "1/n + o")
+        assert json.loads(leading) == json.loads(trailing)
+        assert default.startswith("status: converges")
+
+    def test_leading_value_survives_the_subcommand(self, capsys, monkeypatch):
+        seen = {}
+        real = recur.classify_stability
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(recur, "classify_stability", spy)
+        args = ("--f", "(1/2 + o)*u + e*L", "--u0", "1", "--neutrix", "e*L", "--horizon", "20")
+        run(capsys, "--seed", "5", "recur", *args)
+        assert seen["seed"] == 5
+        run(capsys, "recur", *args, "--seed", "0")
+        assert seen["seed"] == 0
+        run(capsys, "recur", *args)
+        assert seen["seed"] == 1
+
+    def test_claim_choices(self, capsys):
+        args = ("recur", "--f", "2*u", "--u0", "1", "--neutrix", "o", "--horizon", "20")
+        assert run(capsys, *args, "--claim", "report")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *args, "--claim", "bogus")
+        assert exc.value.code == 2
+
+
+class TestFailuresExit2:
+    def assert_error(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_deep_parentheses(self, capsys):
+        err = self.assert_error(capsys, "eval", "(" * 1200 + "1" + ")" * 1200)
+        assert "nested too deeply at position 100" in err
+
+    def test_deep_sum_evaluation(self, capsys):
+        err = self.assert_error(capsys, "eval", "--n", "1", " + ".join(["n"] * 1500))
+        assert "too deeply nested" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--n", "20000", "(3/2)^n/n + o"),
+        ("limit", "((2^1000)^1000)^n"),  # a geometric base
+    ])
+    def test_result_too_large_to_print(self, capsys, argv):
+        err = self.assert_error(capsys, *argv)
+        assert "too large to print" in err and "set_int_max_str_digits" not in err
+
+    def test_strong_convergence_invariant(self, capsys, monkeypatch):
+        monkeypatch.setattr(seq, "_tail_containment", lambda nf, limit: False)
+        err = self.assert_error(capsys, "limit", "1/n + o")
+        assert err.startswith("error: internal check failed: strong convergence theorem violated")
+
+    def test_cauchy_two_routes(self, capsys, monkeypatch):
+        monkeypatch.setattr(seq, "n_limit", lambda u: seq._diverges("planted"))
+        err = self.assert_error(capsys, "cauchy", "--neutrix", "e*L", "1/n + e*L")
+        assert err.startswith("error: internal check failed: Cauchy completeness violated")
+
+    def test_field_with_a_neutrix(self, capsys):
+        err = self.assert_error(
+            capsys, "match", "--f", "y + o", "--eps", "1e-4", "--y0", "1", "--tmax", "1e-3"
+        )
+        assert "unknown name 'o'" in err

@@ -10,7 +10,7 @@ from flexnum import dsl, seq
 from flexnum.errors import ParseError
 from flexnum.extnum import from_neutrix, monomial
 from flexnum.scale import FULL, MICRO, OSLASH, pound
-from flexnum.seq import ALT, Const, Div, Geom, Index
+from flexnum.seq import ALT, Const, Div, Geom, Index, Var
 
 
 class TestParse:
@@ -46,6 +46,22 @@ class TestParse:
         assert f(0.0, 2.0) == -2.0
         g = dsl.parse_scalar_field("-y + t*y/2")
         assert g(1.0, 4.0) == -4.0 + 2.0
+
+    def test_recurrence_leaves_are_one_variable(self):
+        t = dsl.parse_recur_rhs("u*u + u")
+        leaves = [t.left.left, t.left.right, t.right]
+        assert leaves == [Var("u")] * 3
+        assert {hash(leaf) for leaf in leaves} == {hash(Var("u"))}
+
+    def test_scalar_field_rejects_neutrices(self):
+        with pytest.raises(ParseError):
+            dsl.parse_scalar_field("y + o")
+
+    def test_nesting_depth_is_bounded(self):
+        assert dsl.parse_extnum("(" * 100 + "1" + ")" * 100) == monomial(1)
+        with pytest.raises(ParseError) as err:
+            dsl.parse_extnum("(" * 101 + "1" + ")" * 101)
+        assert err.value.position == 100
 
     def test_errors_carry_positions(self):
         # The second + reads as a unary sign, so the * is the offender.

@@ -10,7 +10,6 @@ from flexnum.recur import (
     Flag,
     OslashPow,
     RecurrenceSpec,
-    UVar,
     affine_closed_form,
     affine_spec,
     classify_stability,
@@ -19,7 +18,7 @@ from flexnum.recur import (
     sample_paths,
 )
 from flexnum.scale import OSLASH, ZERO, pound
-from flexnum.seq import ALT, Add, Const, Mul, N, Pow
+from flexnum.seq import ALT, Add, Const, Div, Mul, N, Pow, Var
 
 one = monomial(1)
 
@@ -35,7 +34,7 @@ def drain_spec(a: int = 2, horizon: int = 400) -> RecurrenceSpec:
     np1_a = Pow(Add(N, Const(one)), Fraction(-a))
     n_2a = Pow(N, Fraction(-2 * a))
     f = (
-        Mul(Add(Const(monomial(-1)), n_a), UVar())
+        Mul(Add(Const(monomial(-1)), n_a), Var("u"))
         + Const(monomial(2))
         - n_a
         + Mul(ALT, n_a - np1_a - n_2a)
@@ -46,22 +45,44 @@ def drain_spec(a: int = 2, horizon: int = 400) -> RecurrenceSpec:
 
 class TestPaths:
     def test_constant_recurrence(self, conc_coarse):
-        spec = RecurrenceSpec(UVar(), one + from_neutrix(OSLASH), horizon=10)
+        spec = RecurrenceSpec(Var("u"), one + from_neutrix(OSLASH), horizon=10)
         for p in sample_paths(spec, conc_coarse, count=8, seed=1):
             assert np.all(p.values == p.values[0])
             assert abs(p.values[0] - 1.0) <= conc_coarse.radius(OSLASH)
 
     def test_oslash_powers(self, conc_coarse):
-        spec = RecurrenceSpec(Mul(Const(from_neutrix(OSLASH)), UVar()), one, horizon=10)
+        spec = RecurrenceSpec(Mul(Const(from_neutrix(OSLASH)), Var("u")), one, horizon=10)
         for p in sample_paths(spec, conc_coarse, count=64, seed=2):
             for n in range(1, 11):
                 assert oslash_power(n).contains(p.values[n], conc_coarse)
 
     def test_reproducible(self, conc_coarse):
-        spec = RecurrenceSpec(Mul(Const(from_neutrix(OSLASH)), UVar()), one, horizon=6)
+        spec = RecurrenceSpec(Mul(Const(from_neutrix(OSLASH)), Var("u")), one, horizon=6)
         a = sample_paths(spec, conc_coarse, count=16, seed=9)
         b = sample_paths(spec, conc_coarse, count=16, seed=9)
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+
+    def test_compensated_draws_one_parameter_per_leaf(self, conc_coarse):
+        leaves = [
+            monomial(Fraction(1, 2)) + from_neutrix(OSLASH),
+            monomial(3),
+            monomial(5),
+            monomial(7) + from_neutrix(pound(1)),
+            monomial(11),
+        ]
+        a, b, c, d, e = (Const(x) for x in leaves)
+        u = Var("u")
+        f = Add(Add(Div(Mul(a, u), Add(b, N)), Div(Pow(Div(u, c), 2), d)), e)
+        spec = RecurrenceSpec(f, one, horizon=8)
+        assert spec.parameters() == leaves
+        plain = sample_paths(spec, conc_coarse, count=4, seed=5)
+        compensated = sample_paths(spec, conc_coarse, count=4, seed=5, compensated=True)
+        for p, q in zip(plain, compensated):
+            assert len(q.draws) == len(leaves)
+            for drawn, plain_drawn, leaf in zip(q.draws, p.draws, leaves):
+                assert np.array_equal(drawn, plain_drawn)
+                assert np.all(np.abs(drawn - conc_coarse.center(leaf)) <= conc_coarse.radius(leaf.neutrix))
+            assert np.allclose(q.values, p.values, rtol=1e-12)
 
     def test_step_identity_recorded(self, conc_coarse):
         alpha = monomial(Fraction(1, 2)) + from_neutrix(OSLASH)

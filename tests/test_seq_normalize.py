@@ -51,6 +51,22 @@ class TestEval:
     def test_geom(self):
         assert eval_at(Geom(Fraction(1, 2)), 3) == monomial(Fraction(1, 8))
 
+    def test_quotient_reports_its_denominator_first(self):
+        num = Pow(Const(from_neutrix(OSLASH)), Fraction(-1))  # 1/o: not zeroless
+        den = Pow(N, Fraction(1, 2))  # sqrt(2) at n=2
+        with pytest.raises(EvalDomain, match="irrational"):
+            eval_at(Div(num, den), 2)
+        with pytest.raises(EvalDomain, match="non-zeroless"):
+            eval_at(Div(num, den), 4)
+
+
+def test_deep_terms_fold_past_the_recursion_limit():
+    deep = N
+    for _ in range(3000):
+        deep = Add(deep, N)
+    expected = NormalForm(point=(((Fraction(0), Fraction(1), Fraction(1), False), Fraction(6002)),))
+    assert normalize(reindex(deep, 2)) == expected
+
 
 class TestNormalize:
     def test_product_normal_form(self):
