@@ -113,13 +113,12 @@ def _cmd_recur(args) -> int:
     verdict = recur.classify_stability(
         spec, reference, nx, conc, samples=args.samples, seed=1 if args.seed is None else args.seed
     )
-    payload = verdict.to_dict()
     lines = [
         f"stable: {verdict.stable.value}",
         f"asymptotically stable: {verdict.asymptotically_stable.value}",
         f"strongly asymptotically stable: {verdict.strongly_asymptotically_stable.value}",
-    ] + [f"  {k}: {v}" for k, v in payload["evidence"].items()]
-    _emit(args, payload, lines)
+    ] + [f"  {k}: {v}" for k, v in verdict.evidence.items()]
+    _emit(args, verdict.to_dict(), lines)
     return 1 if verdict.falsified_any and args.claim != "report" else 0
 
 

@@ -34,6 +34,10 @@ from .scale import Neutrix
 #: The two magnitudes exercised in CI so no test keys on a single eps0.
 DEFAULT_EPS0S = (1e-3, 1e-5)
 
+# How many times the combined noise radius a difference must exceed to count
+# as separated.
+_SEPARATION_MARGIN = 4.0
+
 
 @dataclass(frozen=True)
 class Concretization:
@@ -108,13 +112,13 @@ class Concretization:
 
     # -- oracle gating ------------------------------------------------------
 
-    def separated(self, a: ExternalNumber, b: ExternalNumber, margin: float = 4.0) -> bool:
+    def separated(self, a: ExternalNumber, b: ExternalNumber) -> bool:
         """Whether a and b are far enough apart for strict order sampling.
 
         True when the difference is zeroless and its representative dwarfs the
-        combined noise radius by ``margin``.  Decisions failing this gate are
-        boundary cases of the finite model and are excluded from strict
-        oracle assertions.
+        combined noise radius by ``_SEPARATION_MARGIN``.  Decisions failing
+        this gate are boundary cases of the finite model and are excluded from
+        strict oracle assertions.
         """
         d = sub(b, a)
         if not d.is_zeroless:
@@ -123,4 +127,4 @@ class Concretization:
             r = self.radius(d.neutrix)
         except FullNotConcretizable:
             return False
-        return abs(d.rep.eval(self.eps0)) > margin * max(r, 0.0)
+        return abs(d.rep.eval(self.eps0)) > _SEPARATION_MARGIN * max(r, 0.0)

@@ -31,6 +31,8 @@ from .scale import Neutrix
 from .seq import AltSign, Add, Const, Div, Geom, Index, Mul, Pow, Term, Var, fold
 
 _OVERFLOW = 1e300
+# A sampled difference escapes when it leaves this multiple of the noise radius.
+_ESCAPE_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -334,7 +336,7 @@ class StabilityVerdict:
             "stable": self.stable.value,
             "asymptotically_stable": self.asymptotically_stable.value,
             "strongly_asymptotically_stable": self.strongly_asymptotically_stable.value,
-            "evidence": {k: str(v) for k, v in self.evidence.items()},
+            "evidence": {k: _json_value(v) for k, v in self.evidence.items()},
         }
 
     @property
@@ -344,6 +346,17 @@ class StabilityVerdict:
             self.asymptotically_stable,
             self.strongly_asymptotically_stable,
         )
+
+
+def _json_value(v):
+    """An evidence value as JSON: numbers stay numbers, sequences become lists."""
+    if isinstance(v, (ExternalNumber, Neutrix)):
+        return str(v)
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    return v
 
 
 def reference_path(spec: RecurrenceSpec, conc: Concretization) -> np.ndarray:
@@ -368,7 +381,6 @@ def classify_stability(
     conc: Concretization,
     samples: int = 200,
     seed: int = 1,
-    escape_factor: float = 4.0,
 ) -> StabilityVerdict:
     """Stability of the reference solution modulo the neutrix ``noise``.
 
@@ -380,7 +392,7 @@ def classify_stability(
     if match is not None and reference.rep.is_zero and reference.neutrix.is_zero:
         alpha, fnoise = match
         return _classify_affine(alpha, fnoise, noise, spec, conc)
-    return _classify_sampled(spec, reference, noise, conc, samples, seed, escape_factor)
+    return _classify_sampled(spec, reference, noise, conc, samples, seed)
 
 
 def _classify_affine(
@@ -439,7 +451,6 @@ def _classify_sampled(
     conc: Concretization,
     samples: int,
     seed: int,
-    escape_factor: float,
 ) -> StabilityVerdict:
     ref = reference_path(
         RecurrenceSpec(spec.f, reference, spec.horizon, spec.n0), conc
@@ -469,7 +480,7 @@ def _classify_sampled(
     # appreciable multiple of it.
     within = conc.sample_neutrix(noise, rng, size=samples) if not noise.is_zero else np.zeros(samples)
     diffs = run_difference(within)
-    escape = np.abs(diffs).max(axis=0) > max(r_noise, 1e-300) * escape_factor
+    escape = np.abs(diffs).max(axis=0) > max(r_noise, 1e-300) * _ESCAPE_FACTOR
     if noise.is_zero:
         escape = np.abs(diffs).max(axis=0) > 0.0
     stable = Flag.FALSIFIED if bool(escape.any()) else Flag.UNKNOWN

@@ -18,11 +18,15 @@ every term normalizes to a finite sum of
     noise monomials   N * n^r * b^n                    (N a neutrix, exact)
     tail bounds       O(C * e^q * n^r * b^n)           (from division only)
 
-and all limit questions are decided on that normal form.  The asymptotic
-semantics of "n -> oo" is two-level: globally n eventually dominates every
-power w^k of the scale, while on the segment of limited indices the scale
-dominates n.  Segment-relative limits (:func:`limit_wrt_segment`) expose the
-second regime.
+and all limit questions are decided on that normal form.  ``_form`` is its
+one constructor: it sums like monomials, drops absorbed ones and sorts, so
+the form does not depend on operand order.  Each question normalizes its
+term once; the Cauchy test and the order relations reuse the form they hold.
+
+The asymptotic semantics of "n -> oo" is two-level: globally n eventually
+dominates every power w^k of the scale, while on the segment of limited
+indices the scale dominates n.  Segment-relative limits
+(:func:`limit_wrt_segment`) expose the second regime.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .errors import (
     Unnormalizable,
     ZerolessRequired,
 )
-from .extnum import ExternalNumber, FormalSeries, _rat_text, from_neutrix, monomial, subset
+from .extnum import ExternalNumber, FormalSeries, _rat_text, from_neutrix, monomial, scale_noise, subset
 from .extnum import div as ext_div
 from .scale import Neutrix, Rational
 
@@ -435,108 +439,98 @@ def _noise_text(nx: Neutrix, r: Fraction, b: Fraction) -> str:
     return "*".join([str(nx)] + factors) if factors else str(nx)
 
 
-class _Builder:
-    """Mutable accumulator behind normalize()."""
+def _growth(r: Fraction, b: Fraction) -> int:
+    """Eventual behaviour of n^r * b^n: -1 vanishes, 0 stays constant, 1 grows."""
+    if b != 1:
+        return 1 if b > 1 else -1
+    return (r > 0) - (r < 0)
 
-    def __init__(self):
-        self.point: Dict[PKey, Fraction] = {}
-        self.noise: Dict[NKey, Neutrix] = {}
-        self.tails: list = []
-        self.trimmed = False
 
-    @staticmethod
-    def from_nf(nf: NormalForm) -> "_Builder":
-        b = _Builder()
-        b.point = dict(nf.point)
-        b.noise = dict(nf.noise)
-        b.tails = list(nf.tails)
-        b.trimmed = nf.trimmed
-        return b
+def _size(q: Fraction, r: Fraction, b: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
+    """Sort key of the eventual magnitude of e^q * n^r * b^n (global regime):
+    geometric base first, then the power of n, then the e-exponent."""
+    return (b, r, -q)
 
-    def add_point(self, c: Fraction, q: Fraction, r: Fraction, b: Fraction, alt: bool):
-        if c == 0:
-            return
-        key = (q, r, b, alt)
-        tot = self.point.get(key, _ZERO) + c
-        if tot == 0:
-            self.point.pop(key, None)
-        else:
-            self.point[key] = tot
 
-    def add_noise(self, nx: Neutrix, r: Fraction, b: Fraction):
-        if nx.is_zero:
-            return
-        key = (r, b)
-        self.noise[key] = self.noise.get(key, scale.ZERO) + nx
+def _form(
+    point: Iterable[Tuple[PKey, Fraction]] = (),
+    noise: Iterable[Tuple[NKey, Neutrix]] = (),
+    tails: Iterable[TKey] = (),
+    trimmed: bool = False,
+) -> NormalForm:
+    """The one constructor of a normal form: canonical, whatever the input order.
 
-    def add_tail(self, C: Fraction, q: Fraction, r: Fraction, b: Fraction):
-        if b > 1 or (b == 1 and r >= 0):
+    Like keys are summed and zero coefficients dropped.  A point monomial
+    sharing its (r, b) envelope with a noise monomial that absorbs its
+    e-scale is swallowed at *every* index (the scalar n^r*b^n multiplies both
+    sides equally), so dropping it is exact.  A tail must vanish; one already
+    inside some kept noise monomial (for all large n) is dropped, and the set
+    identity then only holds beyond some n1.  Tails are read one at a time,
+    after the point and noise monomials, so a lazy producer of tails reports
+    its own errors in the order it meets them.
+    """
+    nsum: Dict[NKey, Neutrix] = {}
+    for key, nx in noise:
+        if not nx.is_zero:
+            prev = nsum.get(key)
+            nsum[key] = nx if prev is None else prev + nx
+    psum: Dict[PKey, Fraction] = {}
+    for key, c in point:
+        prev = psum.get(key)
+        psum[key] = c if prev is None else prev + c
+    noise_items = tuple(sorted(nsum.items()))
+    kept = [
+        (key, c)
+        for key, c in psum.items()
+        if c and not any(nk == key[1:3] and nx.absorbs(key[0]) for nk, nx in noise_items)
+    ]
+    kept_tails = []
+    for C, q, r, b in tails:
+        if _growth(r, b) >= 0:
             raise Unnormalizable("division remainder does not vanish")
-        self.tails.append((abs(C), q, r, b))
+        if any(_point_in_noise(q, r, b, key, nx) for key, nx in noise_items):
+            trimmed = True
+        else:
+            kept_tails.append((abs(C), q, r, b))
+    return NormalForm(tuple(sorted(kept)), noise_items, tuple(sorted(kept_tails)), trimmed)
 
-    def freeze(self) -> NormalForm:
-        noise = tuple(sorted(self.noise.items()))
-        # A point monomial sharing its (r, b) envelope with a noise monomial
-        # that absorbs its e-scale is swallowed at *every* index (the scalar
-        # n^r*b^n multiplies both sides equally), so dropping it is exact.
-        point = tuple(
-            sorted(
-                (key, c)
-                for key, c in self.point.items()
-                if not any(nk == (key[1], key[2]) and nx.absorbs(key[0]) for nk, nx in noise)
-            )
-        )
-        # A tail already inside some kept noise monomial (for all large n) is
-        # dropped; the set identity then only holds beyond some n1.
-        tails = []
-        trimmed = self.trimmed
-        for t in self.tails:
-            if any(_point_in_noise(t[1], t[2], t[3], key, nx) for key, nx in noise):
-                trimmed = True
-            else:
-                tails.append(t)
-        return NormalForm(point, noise, tuple(sorted(tails)), trimmed)
+
+_ONE_NF = _form([((_ZERO, _ZERO, _ONE, False), _ONE)])
 
 
 def _nf_add(a: NormalForm, b: NormalForm) -> NormalForm:
-    out = _Builder.from_nf(a)
-    out.trimmed = a.trimmed or b.trimmed
-    for (q, r, bb, alt), c in b.point:
-        out.add_point(c, q, r, bb, alt)
-    for (r, bb), nx in b.noise:
-        out.add_noise(nx, r, bb)
-    for t in b.tails:
-        out.tails.append(t)
-    return out.freeze()
+    return _form(a.point + b.point, a.noise + b.noise, a.tails + b.tails, a.trimmed or b.trimmed)
 
 
 def _nf_neg(a: NormalForm) -> NormalForm:
-    return NormalForm(
-        tuple((k, -c) for k, c in a.point), a.noise, a.tails, a.trimmed
-    )
+    return _form(((k, -c) for k, c in a.point), a.noise, a.tails, a.trimmed)
 
 
 def _nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
-    out = _Builder()
-    out.trimmed = a.trimmed or b.trimmed
-    for (q1, r1, b1, s1), c1 in a.point:
-        for (q2, r2, b2, s2), c2 in b.point:
-            out.add_point(c1 * c2, q1 + q2, r1 + r2, b1 * b2, s1 != s2)
-        for (r2, b2), nx in b.noise:
-            out.add_noise(nx.scaled(c1, q1), r1 + r2, b1 * b2)
-    for (r1, b1), nx1 in a.noise:
-        for (q2, r2, b2, s2), c2 in b.point:
-            out.add_noise(nx1.scaled(c2, q2), r1 + r2, b1 * b2)
-        for (r2, b2), nx2 in b.noise:
-            out.add_noise(nx1 * nx2, r1 + r2, b1 * b2)
-    # Tail envelopes distribute over the other factor's magnitudes.
-    for (C, q, r, bb) in a.tails:
-        for mag in _magnitudes(b):
-            out.add_tail(C * mag[0], q + mag[1], r + mag[2], bb * mag[3])
-    for (C, q, r, bb) in b.tails:
-        for mag in _magnitudes(a):
-            out.add_tail(C * mag[0], q + mag[1], r + mag[2], bb * mag[3])
-    return out.freeze()
+    point = [
+        ((q1 + q2, r1 + r2, b1 * b2, s1 != s2), c1 * c2)
+        for (q1, r1, b1, s1), c1 in a.point
+        for (q2, r2, b2, s2), c2 in b.point
+    ]
+    noise = [
+        ((r1 + r2, b1 * b2), nx.scaled(c, q))
+        for x, y in ((a, b), (b, a))
+        for (q, r1, b1, _s), c in x.point
+        for (r2, b2), nx in y.noise
+    ] + [
+        ((r1 + r2, b1 * b2), nx1 * nx2)
+        for (r1, b1), nx1 in a.noise
+        for (r2, b2), nx2 in b.noise
+    ]
+    # Tail envelopes distribute over the other factor's magnitudes; the
+    # generator is lazy so the first offending tail is the error reported.
+    tails = (
+        (C * mC, q + mq, r + mr, bb * mb)
+        for x, y in ((a, b), (b, a))
+        for (C, q, r, bb) in x.tails
+        for (mC, mq, mr, mb) in _magnitudes(y)
+    )
+    return _form(point, noise, tails, a.trimmed or b.trimmed)
 
 
 def _magnitudes(nf: NormalForm) -> Iterable[Tuple[Fraction, Fraction, Fraction, Fraction]]:
@@ -556,25 +550,14 @@ def _magnitudes(nf: NormalForm) -> Iterable[Tuple[Fraction, Fraction, Fraction, 
 
 
 def _dominant_point(nf: NormalForm) -> Optional[Tuple[PKey, Fraction]]:
-    """The largest point monomial under the global magnitude order.
+    """The largest point monomial under :func:`_size`.
 
-    Compares geometric base, then power of n, then e-exponent.  Callers still
-    have to confirm that it strictly dominates the remaining monomials.
+    Callers still have to confirm that it strictly dominates the remaining
+    monomials.
     """
     if not nf.point:
         return None
-    return max(nf.point, key=lambda kv: (kv[0][2], kv[0][1], -kv[0][0]))
-
-
-def _strictly_dominates(m0: Tuple[Fraction, Fraction, Fraction], m1) -> bool:
-    """m0 = (q, r, b) eventually dominates m1 in magnitude (global regime)."""
-    q0, r0, b0 = m0
-    q1, r1, b1 = m1
-    if b0 != b1:
-        return b0 > b1
-    if r0 != r1:
-        return r0 > r1
-    return q0 < q1
+    return max(nf.point, key=lambda kv: _size(*kv[0][:3]))
 
 
 def _point_in_noise(q: Fraction, r: Fraction, b: Fraction, key: NKey, nx: Neutrix) -> bool:
@@ -584,15 +567,9 @@ def _point_in_noise(q: Fraction, r: Fraction, b: Fraction, key: NKey, nx: Neutri
         return True
     if nx.is_zero:
         return False
-    if b != bN:
-        return b < bN
-    if r != rN:
-        return r < rN
-    if nx.is_micro:
-        return False
-    if nx.kind is scale.Kind.POUND:
-        return q >= nx.q
-    return q > nx.q
+    if (b, r) != (bN, rN):
+        return (b, r) < (bN, rN)
+    return nx.absorbs(q)
 
 
 def _noise_in_noise(key1: NKey, n1: Neutrix, key2: NKey, n2: Neutrix) -> bool:
@@ -606,10 +583,8 @@ def _noise_in_noise(key1: NKey, n1: Neutrix, key2: NKey, n2: Neutrix) -> bool:
     if n2.is_zero or n1.is_full:
         # A nontrivial group never shrinks into {0}: scalar factors are absorbed.
         return False
-    if b1 != b2:
-        return b1 < b2
-    if r1 != r2:
-        return r1 < r2
+    if (b1, r1) != (b2, r2):
+        return (b1, r1) < (b2, r2)
     return n1 <= n2
 
 
@@ -621,50 +596,39 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     # Kill alternation in the denominator by one conjugation step:
     # (x + y)(x - y) = x^2 - y^2 has no alternating monomials.
     if any(k[3] for k, _ in den.point):
-        conj = NormalForm(
-            tuple((k, (-c if k[3] else c)) for k, c in den.point), den.noise, ()
-        )
+        conj = _form(((k, (-c if k[3] else c)) for k, c in den.point), den.noise)
         return _nf_div(_nf_mul(num, conj), _nf_mul(den, conj))
 
     dom = _dominant_point(den)
     if dom is None:
         raise Unnormalizable("denominator has no dominant precise monomial")
-    (q0, r0, b0, s0), c0 = dom
-    m0 = (q0, r0, b0)
-    for (q, r, b, s), c in den.point:
-        if (q, r, b, s) == (q0, r0, b0, s0):
-            continue
-        if not _strictly_dominates(m0, (q, r, b)):
+    key0, c0 = dom
+    q0, r0, b0, s0 = key0
+    size0 = _size(q0, r0, b0)
+    for key, c in den.point:
+        if key != key0 and not size0 > _size(*key[:3]):
             raise Unnormalizable("denominator is not eventually zeroless")
-    for (r, b), nx in den.noise:
-        if nx.is_full or not _point_in_noise_strict(m0, (r, b), nx):
+    for key, nx in den.noise:
+        if nx.is_full or not _point_in_noise_strict(key0[:3], key, nx):
             raise Unnormalizable("denominator noise is not dominated: not eventually zeroless")
 
     inv_c0 = _ONE / c0
 
-    def div_point(c, q, r, b, s):
-        return (c * inv_c0, q - q0, r - r0, b / b0, s != s0)
+    def over_m0(point, noise):
+        """Point and noise monomials divided by m0 = c0*e^q0*n^r0*b0^n."""
+        return (
+            (((q - q0, r - r0, b / b0, s != s0), c * inv_c0) for (q, r, b, s), c in point),
+            (((r - r0, b / b0), nx.scaled(inv_c0, -q0)) for (r, b), nx in noise),
+        )
 
     # w = den/m0 - 1: every monomial strictly below 1.
-    w = _Builder()
-    for (q, r, b, s), c in den.point:
-        if (q, r, b, s) == (q0, r0, b0, s0):
-            continue
-        w.add_point(*div_point(c, q, r, b, s))
-    for (r, b), nx in den.noise:
-        w.add_noise(nx.scaled(inv_c0, -q0), r - r0, b / b0)
-    wf = w.freeze()
-
+    wf = _form(*over_m0((kv for kv in den.point if kv[0] != key0), den.noise))
     # num / m0, exact.
-    base = _Builder()
-    base.trimmed = num.trimmed or den.trimmed
-    for (q, r, b, s), c in num.point:
-        base.add_point(*div_point(c, q, r, b, s))
-    for (r, b), nx in num.noise:
-        base.add_noise(nx.scaled(inv_c0, -q0), r - r0, b / b0)
-    for (C, q, r, b) in num.tails:
-        base.add_tail(C * abs(inv_c0), q - q0, r - r0, b / b0)
-    basef = base.freeze()
+    basef = _form(
+        *over_m0(num.point, num.noise),
+        ((C * abs(inv_c0), q - q0, r - r0, b / b0) for (C, q, r, b) in num.tails),
+        num.trimmed or den.trimmed,
+    )
 
     if not wf.point and not wf.noise:
         return basef
@@ -672,7 +636,7 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     def mark_trimmed(nf: NormalForm) -> NormalForm:
         # Dropping expansion terms that are only eventually inside the noise
         # leaves a form valid for large n, not pointwise.
-        return nf if nf.trimmed else NormalForm(nf.point, nf.noise, nf.tails, True)
+        return nf if nf.trimmed else _form(nf.point, nf.noise, nf.tails, True)
 
     # Geometric expansion of 1/(1+w); noise powers collapse into the running
     # noise keys, point powers are kept until they sit inside the result's
@@ -682,44 +646,30 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     power = basef
     w_neg = _nf_neg(wf)
     dropped = False
+
+    def inside(q, r, b):  # in the noise of the result so far
+        return any(_point_in_noise(q, r, b, key, nx) for key, nx in result.noise)
+
     for _ in range(_MAX_DIV_ROUNDS):
         power = _nf_mul(power, w_neg)
-        keep = _Builder()
-        finished = True
-        for (q, r, b, s), c in power.point:
-            if any(_point_in_noise(q, r, b, key, nx) for key, nx in result.noise):
-                dropped = True
-                continue
-            keep.add_point(c, q, r, b, s)
-            finished = False
-        for key, nx in power.noise:
-            if any(_noise_in_noise(key, nx, key2, nx2) for key2, nx2 in result.noise):
-                dropped = True
-                continue
-            keep.add_noise(nx, key[0], key[1])
-            finished = False
-        for t in power.tails:
-            if any(_point_in_noise(*t[1:], key2, nx2) for key2, nx2 in result.noise):
-                dropped = True
-                continue
-            keep.tails.append(t)
-            finished = False
-        if finished:
+        point = [(k, c) for k, c in power.point if not inside(*k[:3])]
+        noise = [
+            (k, nx) for k, nx in power.noise
+            if not any(_noise_in_noise(k, nx, k2, nx2) for k2, nx2 in result.noise)
+        ]
+        tails = [t for t in power.tails if not inside(*t[1:])]
+        if len(point) + len(noise) + len(tails) < len(power.point) + len(power.noise) + len(power.tails):
+            dropped = True
+        if not (point or noise or tails):
             return mark_trimmed(result) if dropped else result
-        kept = keep.freeze()
-        result = _nf_add(result, kept)
-        power = kept
+        power = _form(point, noise, tails)
+        result = _nf_add(result, power)
         # Once every surviving point monomial vanishes in n, one more factor of
         # w only shrinks it further: close with a tail bound.
-        if power.point and all(
-            b < 1 or (b == 1 and r < 0) for (q, r, b, s), _ in power.point
-        ) and not power.noise:
-            out = _Builder.from_nf(result)
-            out.trimmed = out.trimmed or dropped
-            wmag = _dominant_magnitude(wf)
-            for (q, r, b, s), c in power.point:
-                out.add_tail(2 * abs(c) * wmag[0], q + wmag[1], r + wmag[2], b * wmag[3])
-            return out.freeze()
+        if power.point and not power.noise and all(_growth(k[1], k[2]) < 0 for k, _ in power.point):
+            wC, wq, wr, wb = _dominant_magnitude(wf)
+            closing = ((2 * abs(c) * wC, q + wq, r + wr, b * wb) for (q, r, b, _s), c in power.point)
+            return _form(result.point, result.noise, (*result.tails, *closing), result.trimmed or dropped)
     raise Unnormalizable("series division does not close against the result's noise")
 
 
@@ -727,24 +677,18 @@ def _point_in_noise_strict(m0, key: NKey, nx: Neutrix) -> bool:
     """Dominant monomial m0 strictly dominates the noise monomial (zeroless test)."""
     q0, r0, b0 = m0
     r, b = key
-    if nx.is_zero:
-        return True
-    if nx.is_micro:
-        return (b, r) <= (b0, r0)
-    if nx.is_full:
-        return False
+    if nx.is_zero or nx.is_full:
+        return nx.is_zero
     if (b, r) != (b0, r0):
-        return (b < b0) or (b == b0 and r < r0)
-    # Same envelope in n: compare e-scales.  A pound neutrix at the exact
-    # scale of the monomial contains it, so it must sit strictly below.
-    if nx.kind is scale.Kind.POUND:
-        return nx.q > q0
-    return nx.q >= q0
+        return (b, r) < (b0, r0)
+    # Same envelope in n: the noise must not contain the monomial (a pound
+    # neutrix at the monomial's exact scale does).
+    return not nx.absorbs(q0)
 
 
 def _dominant_magnitude(nf: NormalForm) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     mags = list(_magnitudes(nf))
-    best = max(mags, key=lambda m: (m[3], m[2], -m[1]))
+    best = max(mags, key=lambda m: _size(*m[1:]))
     total = sum((m[0] for m in mags), _ZERO)
     return (total, best[1], best[2], best[3])
 
@@ -753,13 +697,11 @@ def _nf_pow(a: NormalForm, k: Fraction) -> NormalForm:
     if k.denominator == 1:
         e = k.numerator
         if e >= 0:
-            out = NormalForm(point=(((_ZERO, _ZERO, _ONE, False), _ONE),))
+            out = _ONE_NF
             for _ in range(e):
                 out = _nf_mul(out, a)
             return out
-        return _nf_div(
-            NormalForm(point=(((_ZERO, _ZERO, _ONE, False), _ONE),)), _nf_pow(a, Fraction(-e))
-        )
+        return _nf_div(_ONE_NF, _nf_pow(a, Fraction(-e)))
     if a.noise or a.tails or len(a.point) != 1:
         raise Unnormalizable(f"fractional power of a non-monomial sequence")
     (q, r, b, s), c = a.point[0]
@@ -769,22 +711,21 @@ def _nf_pow(a: NormalForm, k: Fraction) -> NormalForm:
     broot = _rational_pow(b, k)
     if croot is None or broot is None:
         raise Unnormalizable("fractional power leaves the rational scale")
-    return NormalForm(point=(((q * k, r * k, broot, False), croot),))
+    return _form([((q * k, r * k, broot, False), croot)])
 
 
 def _nf_const(c: Const) -> NormalForm:
-    b = _Builder()
-    for coeff, q in c.value.rep.terms:
-        b.add_point(coeff, q, _ZERO, _ONE, False)
-    b.add_noise(c.value.neutrix, _ZERO, _ONE)
-    return b.freeze()
+    return _form(
+        (((q, _ZERO, _ONE, False), coeff) for coeff, q in c.value.rep.terms),
+        [((_ZERO, _ONE), c.value.neutrix)],
+    )
 
 
 _NORMALIZE = {
     Const: _nf_const,
-    Index: lambda _: NormalForm(point=(((_ZERO, _ONE, _ONE, False), _ONE),)),
-    AltSign: lambda _: NormalForm(point=(((_ZERO, _ZERO, _ONE, True), _ONE),)),
-    Geom: lambda g: NormalForm(point=(((_ZERO, _ZERO, g.base, False), _ONE),)),
+    Index: lambda _: _form([((_ZERO, _ONE, _ONE, False), _ONE)]),
+    AltSign: lambda _: _form([((_ZERO, _ZERO, _ONE, True), _ONE)]),
+    Geom: lambda g: _form([((_ZERO, _ZERO, g.base, False), _ONE)]),
     Add: lambda _, a, b: _nf_add(a, b),
     Mul: lambda _, a, b: _nf_mul(a, b),
     Div: lambda _, a, b: _nf_div(a, b),
@@ -860,14 +801,19 @@ def n_limit(u: Term) -> LimitReport:
     oscillation of amplitude c*e^q forces the minimal neutrix up to e^q*L;
     a constant noise monomial survives as itself; growth in n diverges.
     """
-    nf = normalize(u)
+    return _limit(normalize(u))
+
+
+def _limit(nf: NormalForm) -> LimitReport:
+    """The global limit of a normal form (see :func:`n_limit`)."""
     lines = [f"normal form: {nf}"]
     rep_terms = []
     minimal = scale.ZERO
     for (q, r, b, alt), c in nf.point:
-        if b > 1 or (b == 1 and r > 0):
+        growth = _growth(r, b)
+        if growth > 0:
             return _diverges(f"point term {_point_text(c, q, r, b, alt)} grows without bound")
-        if b < 1 or r < 0:
+        if growth < 0:
             lines.append(f"  {_point_text(c, q, r, b, alt)} vanishes")
             continue
         if alt:
@@ -879,9 +825,10 @@ def n_limit(u: Term) -> LimitReport:
     for (r, b), nx in nf.noise:
         if nx.is_full:
             return _diverges("the sequence is the full line at every index")
-        if b > 1 or (b == 1 and r > 0):
+        growth = _growth(r, b)
+        if growth > 0:
             return _diverges(f"noise term {_noise_text(nx, r, b)} expands to the full line")
-        if b < 1 or r < 0:
+        if growth < 0:
             lines.append(f"  {_noise_text(nx, r, b)} shrinks to 0")
             continue
         minimal = minimal + nx
@@ -950,44 +897,29 @@ def limit_arith(op: str, a: LimitReport, b: Optional[LimitReport] = None) -> Lim
     """
     if not a.converges or (b is not None and not b.converges):
         raise HypothesisUnverified("limit arithmetic needs convergent inputs")
-    alpha = a.limit
-    na = a.minimal_neutrix
-    if op in ("add", "sub"):
+    alpha, na = a.limit, a.minimal_neutrix
+    if op in ("add", "sub", "mul"):
         if b is None:
             raise ValueError(f"{op} needs two reports")
         beta, nb = b.limit, b.minimal_neutrix
-        k = na + nb
-        lim = alpha + beta if op == "add" else alpha - beta
-        lim = ExternalNumber(lim.rep, lim.neutrix + k)
-        return LimitReport(
-            Status.CONVERGES, lim, lim.neutrix, not lim.neutrix.is_zero,
-            f"{op}: predicted neutrix {k}",
-        )
-    if op == "mul":
-        if b is None:
-            raise ValueError("mul needs two reports")
-        beta, nb = b.limit, b.minimal_neutrix
-        from .extnum import scale_noise
-
+    if op == "add":
+        lim, k = alpha + beta, na + nb
+    elif op == "sub":
+        lim, k = alpha - beta, na + nb
+    elif op == "mul":
         k = scale_noise(nb, alpha) + scale_noise(na, beta) + na * nb
         lim = alpha * beta
-        lim = ExternalNumber(lim.rep, lim.neutrix + k)
-        return LimitReport(
-            Status.CONVERGES, lim, lim.neutrix, not lim.neutrix.is_zero,
-            f"mul: predicted neutrix {k}",
-        )
-    if op == "recip":
+    elif op == "recip":
         if not alpha.is_zeroless:
             raise ZerolessRequired(f"reciprocal of a limit containing zero: {alpha}")
         lim = ext_div(monomial(1), alpha)
-        _, q0 = alpha.rep.leading()
-        k = na.scaled(1, -2 * q0)
-        lim = ExternalNumber(lim.rep, lim.neutrix + k)
-        return LimitReport(
-            Status.CONVERGES, lim, lim.neutrix, not lim.neutrix.is_zero,
-            f"recip: predicted neutrix {k}",
-        )
-    raise ValueError(f"unknown operation {op!r}")
+        k = na.scaled(1, -2 * alpha.rep.leading()[1])
+    else:
+        raise ValueError(f"unknown operation {op!r}")
+    lim = ExternalNumber(lim.rep, lim.neutrix + k)
+    return LimitReport(
+        Status.CONVERGES, lim, lim.neutrix, not lim.neutrix.is_zero, f"{op}: predicted neutrix {k}"
+    )
 
 
 def prediction_consistent(pred: LimitReport, actual: LimitReport) -> bool:
@@ -1019,6 +951,10 @@ def eventually_subset(u: Term, v: Term) -> bool:
         nu, nv = normalize(u), normalize(v)
     except Unnormalizable:
         return False
+    return _subset(nu, nv)
+
+
+def _subset(nu: NormalForm, nv: NormalForm) -> bool:
     noise_v = nv.noise
     for (r, b), nx in nu.noise:
         if not any(_noise_in_noise((r, b), nx, k2, n2) for k2, n2 in noise_v):
@@ -1049,12 +985,13 @@ def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
     classes: Dict[Tuple[Fraction, Fraction, Fraction], Dict[bool, Fraction]] = {}
     for (q, r, b, alt), c in surviving:
         classes.setdefault((q, r, b), {})[alt] = c
-    best = max(classes, key=lambda m: (m[2], m[1], -m[0]))
-    if not all(m == best or _strictly_dominates(best, m) for m in classes):
+    best = max(classes, key=lambda m: _size(*m))
+    top = _size(*best)
+    if not all(m == best or top > _size(*m) for m in classes):
         return False
     if not all(_point_in_noise_strict(best, key, nx) for key, nx in d.noise):
         return False
-    if not all(_strictly_dominates(best, (t[1], t[2], t[3])) for t in d.tails):
+    if not all(top > _size(*t[1:]) for t in d.tails):
         return False
     c = classes[best].get(False, _ZERO)
     a = classes[best].get(True, _ZERO)
@@ -1081,7 +1018,7 @@ def eventually_le(u: Term, v: Term, _depth: int = 0) -> bool:
     if positive is None:
         # d is eventually inside its own noise, which contains 0; then the
         # relation reduces to containment u_n ⊆ v_n.
-        return eventually_subset(u, v)
+        return _subset(nu, nv)
     # Alternating terms at the dominant scale: decide each parity separately
     # (reindexing by 2 turns (-1)^n into a constant).
     if _depth == 0 and any(key[3] for key, _ in d.point):
@@ -1131,26 +1068,24 @@ def eventually_bounded(u: Term) -> Optional[ExternalNumber]:
     q_bound = None
     coeff = Fraction(1)
 
-    def fold(q):
+    def lower_to(q):
         nonlocal q_bound
         q_bound = q if q_bound is None else min(q_bound, q)
 
     for (q, r, b, alt), c in nf.point:
-        if b > 1 or (b == 1 and r > 0):
+        if _growth(r, b) > 0:
             return None
         coeff += abs(c)
-        fold(q)
+        lower_to(q)
     for (r, b), nx in nf.noise:
-        if nx.is_full:
-            return None
-        if b > 1 or (b == 1 and r > 0):
+        if nx.is_full or _growth(r, b) > 0:
             return None
         if nx.is_mono:
-            fold(nx.q - (1 if nx.kind is scale.Kind.POUND else 0))
+            lower_to(nx.q - (1 if nx.kind is scale.Kind.POUND else 0))
         # Micro sits below any monomial bound.
     for (C, q, r, b) in nf.tails:
         coeff += abs(C)
-        fold(q)
+        lower_to(q)
     if q_bound is None:
         q_bound = _ZERO
     return monomial(coeff, q_bound)
@@ -1175,21 +1110,17 @@ def is_cauchy(u: Term, nx: Neutrix) -> bool:
     nf = normalize(u)
     direct = True
     for (q, r, b, alt), c in nf.point:
-        if b > 1 or (b == 1 and r > 0):
-            direct = False
-            break
-        if b == 1 and r == 0 and alt and not nx.absorbs(q):
+        growth = _growth(r, b)
+        if growth > 0 or (growth == 0 and alt and not nx.absorbs(q)):
             direct = False
             break
     if direct:
         for (r, b), nox in nf.noise:
-            if nox.is_full or b > 1 or (b == 1 and r > 0):
+            growth = _growth(r, b)
+            if nox.is_full or growth > 0 or (growth == 0 and not nox <= nx):
                 direct = False
                 break
-            if b == 1 and r == 0 and not nox <= nx:
-                direct = False
-                break
-    report = n_limit(u)
+    report = _limit(nf)
     derived = report.converges and report.minimal_neutrix <= nx
     if direct != derived:
         raise AssertionError(

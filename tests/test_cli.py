@@ -216,7 +216,7 @@ class TestFailuresExit2:
         assert err.startswith("error: internal check failed: strong convergence theorem violated")
 
     def test_cauchy_two_routes(self, capsys, monkeypatch):
-        monkeypatch.setattr(seq, "n_limit", lambda u: seq._diverges("planted"))
+        monkeypatch.setattr(seq, "_limit", lambda nf: seq._diverges("planted"))
         err = self.assert_error(capsys, "cauchy", "--neutrix", "e*L", "1/n + e*L")
         assert err.startswith("error: internal check failed: Cauchy completeness violated")
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -175,6 +176,25 @@ class TestStability:
         assert v.stable is Flag.FALSIFIED
         path = v.evidence["escaping_path"]
         assert abs(path[-1]) > abs(path[0])
+
+    def test_evidence_json_keeps_numbers(self, conc_coarse):
+        contraction = affine_spec(monomial(Fraction(1, 2)), pound(1), one, horizon=50)
+        affine = classify_stability(contraction, monomial(0), pound(1), conc_coarse)
+        growth = affine_spec(monomial(2), OSLASH, one, horizon=50)
+        expansion = classify_stability(growth, monomial(0), OSLASH, conc_coarse)
+        drain = drain_spec(horizon=40)
+        sampled = classify_stability(drain, drain.u0, OSLASH, conc_coarse, samples=20, seed=3)
+        ev = json.loads(json.dumps(affine.to_dict()))["evidence"]
+        assert (ev["alpha"], ev["f_noise"], ev["limit_neutrix"]) == ("1/2", "e*L", "e*L")
+        assert ev["q"] == affine.evidence["q"] and isinstance(ev["c"], float)
+        ev = json.loads(json.dumps(expansion.to_dict()))["evidence"]
+        assert ev["q"] == 2.0
+        assert ev["escaping_path"] == expansion.evidence["escaping_path"].tolist()
+        ev = json.loads(json.dumps(sampled.to_dict()))["evidence"]
+        assert ev["route"] == "sampled falsification"
+        assert (ev["samples"], ev["horizon"]) == (20, 40)
+        assert ev["tolerance_scales"] == [[s, ok] for s, ok in sampled.evidence["tolerance_scales"]]
+        assert all(isinstance(ok, bool) for _, ok in ev["tolerance_scales"])
 
     def test_zero_map(self, conc_coarse):
         spec = affine_spec(monomial(0), ZERO, monomial(7), horizon=10)

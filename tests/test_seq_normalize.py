@@ -166,3 +166,37 @@ def test_neutrix_seq_matches_const_product():
     t1 = neutrix_seq(OSLASH, Div(Const(one), N))
     t2 = Mul(Const(from_neutrix(OSLASH)), Div(Const(one), N))
     assert normalize(t1) == normalize(t2)
+
+
+def test_normal_forms_do_not_depend_on_operand_order():
+    rng = random.Random(17)
+    refused = 0
+    for _ in range(300):
+        u = support.rand_term(rng, convergent=rng.random() < 0.5)
+        v = support.rand_term(rng, convergent=rng.random() < 0.5)
+        if rng.random() < 0.4:
+            # A division by a sum: tails, trimmed forms and refusals.
+            vanishing = Div(Const(monomial(support.rand_coeff(rng), rng.randint(0, 2))), N)
+            u = Div(u, Add(Const(monomial(rng.randint(1, 4))), vanishing))
+        for op in (Add, Mul):
+            forms = []
+            for a, b in ((u, v), (v, u)):
+                try:
+                    forms.append(normalize(op(a, b)))
+                except Unnormalizable:
+                    forms.append(Unnormalizable)
+            assert forms[0] == forms[1], (op, u, v)
+            refused += forms[0] is Unnormalizable
+    assert refused > 0
+
+
+def test_each_question_normalizes_its_terms_once(monkeypatch):
+    calls = []
+    real = seq.normalize
+    monkeypatch.setattr(seq, "normalize", lambda t: calls.append(t) or real(t))
+    seq.is_cauchy(u_term, OSLASH)
+    assert len(calls) == 1
+    calls.clear()
+    # v - u = o is inside its own noise, so containment decides u <= v.
+    assert seq.eventually_le(Div(Const(one), N), u_term)
+    assert len(calls) == 2
