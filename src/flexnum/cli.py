@@ -47,12 +47,22 @@ def _parse_segment(text: str) -> seq.Segment:
     raise ValueError(f"unknown segment {text!r}; use limited/all/finite:m/halo:q/galaxy:q")
 
 
+def _csv_rows(payload: dict, prefix: str = ""):
+    """One ``key,value`` row per scalar field; a nested dict's fields get
+    dotted keys (``evidence.route``)."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _csv_rows(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key},{value}"
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        for key, value in payload.items():
-            print(f"{key},{value}")
+        for row in _csv_rows(payload):
+            print(row)
     else:
         for line in text_lines:
             print(line)

@@ -23,6 +23,15 @@ one constructor: it sums like monomials, drops absorbed ones and sorts, so
 the form does not depend on operand order.  Each question normalizes its
 term once; the Cauchy test and the order relations reuse the form they hold.
 
+A caller often asks several questions of one term.  A small memo (``_once``)
+remembers the normal form of a term, or its refusal, and the global limit
+report of a normal form, so each is computed once however many questions
+ask.  It holds at most 64 entries and is cleared when full.  It is keyed by
+the identity of the term or form, not by equality: identity never merges two
+distinct objects, costs nothing to hash, and a frozen term's own hash walks
+the whole tree recursively, which fails on deep terms.  An entry holds its
+key object, so the id is not reused while the entry lives.
+
 The asymptotic semantics of "n -> oo" is two-level: globally n eventually
 dominates every power w^k of the scale, while on the segment of limited
 indices the scale dominates n.  Segment-relative limits
@@ -159,13 +168,25 @@ N = Index()
 ALT = AltSign()
 
 
+def _children(node: Term) -> tuple:
+    """The child terms of a node, left to right: the only code that knows
+    which fields of a node are its children."""
+    cls = type(node)
+    if cls is Add or cls is Mul:
+        return (node.left, node.right)
+    if cls is Div:
+        return (node.num, node.den)
+    if cls is Pow:
+        return (node.base,)
+    return ()
+
+
 def fold(u: Term, rules: Mapping[type, Callable]):
     """Fold a term bottom up: each node becomes ``rules[type(node)](node, *kids)``
     with its children already folded, left to right.
 
-    The only code that knows which fields of a node are its children.  The
-    walk keeps its own stack, so deep terms do not meet the recursion limit.
-    A node without a rule raises TypeError when the walk reaches it.
+    The walk keeps its own stack, so deep terms do not meet the recursion
+    limit.  A node without a rule raises TypeError when the walk reaches it.
     """
     # Pre-order visiting the right child first; reversed, it is the
     # left-to-right post-order in which the rules run.
@@ -173,15 +194,7 @@ def fold(u: Term, rules: Mapping[type, Callable]):
     stack = [u]
     while stack:
         node = stack.pop()
-        cls = type(node)
-        if cls is Add or cls is Mul:
-            kids: tuple = (node.left, node.right)
-        elif cls is Div:
-            kids = (node.num, node.den)
-        elif cls is Pow:
-            kids = (node.base,)
-        else:
-            kids = ()
+        kids = _children(node)
         order.append((node, len(kids)))
         stack.extend(kids)
     done: list = []
@@ -197,6 +210,25 @@ def fold(u: Term, rules: Mapping[type, Callable]):
         else:
             done.append(rule(node))
     return done[0]
+
+
+def _same_term(u: Term, v: Term) -> bool:
+    """``u == v`` on its own stack: the two trees compared node by node in
+    lockstep, so deep terms do not meet the recursion limit."""
+    stack = [(u, v)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        kids = _children(a)
+        if not kids:
+            if a != b:
+                return False
+        elif type(a) is not type(b) or (type(a) is Pow and a.exponent != b.exponent):
+            return False
+        else:
+            stack.extend(zip(kids, _children(b)))
+    return True
 
 
 def as_term(x) -> Term:
@@ -733,6 +765,10 @@ _NORMALIZE = {
 }
 
 
+def _normal_form(u: Term) -> NormalForm:
+    return fold(u, _NORMALIZE)
+
+
 def normalize(u: Term) -> NormalForm:
     """Decidable normal form of a grammar term.
 
@@ -740,7 +776,36 @@ def normalize(u: Term) -> NormalForm:
     is not eventually zeroless, fractional powers of sums, a divided
     remainder that does not vanish).
     """
-    return fold(u, _NORMALIZE)
+    return _once(_normal_form, u)
+
+
+# (fn, id(x)) -> (x, value, refusal type, refusal args); see the module docstring.
+_MEMO: Dict[Tuple[Callable, int], tuple] = {}
+_MEMO_SIZE = 64
+
+
+def _once(fn: Callable, x):
+    """fn(x), computed once for the object x while the memo holds it.
+
+    A refusal is remembered as its type and arguments and raised afresh on
+    every hit; every other exception passes through and is not remembered.
+    """
+    key = (fn, id(x))
+    hit = _MEMO.get(key)
+    if hit is None:
+        if len(_MEMO) >= _MEMO_SIZE:
+            _MEMO.clear()
+        try:
+            value = fn(x)
+        except Unnormalizable as exc:
+            _MEMO[key] = (x, None, type(exc), exc.args)
+            raise
+        _MEMO[key] = (x, value, None, ())
+        return value
+    _, value, refusal, args = hit
+    if refusal is not None:
+        raise refusal(*args)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +866,7 @@ def n_limit(u: Term) -> LimitReport:
     oscillation of amplitude c*e^q forces the minimal neutrix up to e^q*L;
     a constant noise monomial survives as itself; growth in n diverges.
     """
-    return _limit(normalize(u))
+    return _once(_limit, normalize(u))
 
 
 def _limit(nf: NormalForm) -> LimitReport:
@@ -945,7 +1010,7 @@ def prediction_consistent(pred: LimitReport, actual: LimitReport) -> bool:
 
 def eventually_subset(u: Term, v: Term) -> bool:
     """u_n ⊆ v_n for all large n, decided on normal forms."""
-    if u == v:
+    if _same_term(u, v):
         return True
     try:
         nu, nv = normalize(u), normalize(v)
@@ -1002,7 +1067,7 @@ def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
 
 def eventually_le(u: Term, v: Term, _depth: int = 0) -> bool:
     """Pointwise u_n <= v_n (the external relation) for all large n."""
-    if u == v:
+    if _same_term(u, v):
         return True
     try:
         nu, nv = normalize(u), normalize(v)
@@ -1120,7 +1185,7 @@ def is_cauchy(u: Term, nx: Neutrix) -> bool:
             if nox.is_full or growth > 0 or (growth == 0 and not nox <= nx):
                 direct = False
                 break
-    report = _limit(nf)
+    report = _once(_limit, nf)
     derived = report.converges and report.minimal_neutrix <= nx
     if direct != derived:
         raise AssertionError(

@@ -103,6 +103,22 @@ class TestRecur:
         )
         assert code == 1
 
+    def test_affine_csv_has_one_row_per_evidence_field(self, capsys):
+        code, out, _ = run(
+            capsys, "recur", "--f", "(1/2 + o)*u + e*L", "--u0", "1", "--neutrix", "e*L", "--format", "csv"
+        )
+        rows = out.splitlines()
+        assert code == 0
+        assert rows[:4] == [
+            "stable,proven",
+            "asymptotically_stable,proven",
+            "strongly_asymptotically_stable,proven",
+            "evidence.route,affine analysis",
+        ]
+        keys = [row.split(",", 1)[0] for row in rows[3:]]
+        assert keys == [f"evidence.{k}" for k in ("route", "alpha", "f_noise", "q", "c", "limit_neutrix")]
+        assert "evidence.alpha,1/2 + o" in rows and "evidence.limit_neutrix,e*L" in rows
+
 
 class TestBorelRitt:
     def test_check_all(self, capsys):

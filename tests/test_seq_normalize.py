@@ -60,12 +60,26 @@ class TestEval:
             eval_at(Div(num, den), 4)
 
 
-def test_deep_terms_fold_past_the_recursion_limit():
+def _deep_sum(levels):
     deep = N
-    for _ in range(3000):
+    for _ in range(levels):
         deep = Add(deep, N)
+    return deep
+
+
+def test_deep_terms_fold_past_the_recursion_limit():
     expected = NormalForm(point=(((Fraction(0), Fraction(1), Fraction(1), False), Fraction(6002)),))
-    assert normalize(reindex(deep, 2)) == expected
+    assert normalize(reindex(_deep_sum(3000), 2)) == expected
+
+
+def test_order_questions_on_equal_deep_terms():
+    u, v = _deep_sum(3000), _deep_sum(3000)
+    assert u is not v
+    assert seq.eventually_le(u, v)
+    assert seq.eventually_subset(u, v)
+    # Unequal deep terms are compared without recursion too, then normalized.
+    assert not seq.eventually_subset(u, Add(v, N))
+    assert seq.eventually_le(u, Add(v, N))
 
 
 class TestNormalize:
@@ -200,3 +214,59 @@ def test_each_question_normalizes_its_terms_once(monkeypatch):
     # v - u = o is inside its own noise, so containment decides u <= v.
     assert seq.eventually_le(Div(Const(one), N), u_term)
     assert len(calls) == 2
+
+
+def _answers(t):
+    """str of the normal form, the limit report and the three Cauchy verdicts,
+    or the refusal's type and message."""
+    try:
+        nf = normalize(t)
+    except Unnormalizable as exc:
+        return (Unnormalizable, str(exc))
+    return (
+        str(nf),
+        seq.n_limit(t).to_dict(),
+        [seq.is_cauchy(t, nx) for nx in (OSLASH, POUND, pound(1))],
+    )
+
+
+def test_memo_hits_answer_like_misses():
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(120):
+        t = support.rand_term(rng, convergent=rng.random() < 0.5)
+        if rng.random() < 0.4:
+            t = Div(t, Add(Const(monomial(rng.randint(1, 4))), Div(Const(monomial(support.rand_coeff(rng), 1)), N)))
+        seq._MEMO.clear()
+        miss = _answers(t)
+        assert _answers(t) == miss, t
+        # Without the memo: the fold and the limit of the fresh form.
+        try:
+            nf = seq.fold(t, seq._NORMALIZE)
+        except Unnormalizable as exc:
+            assert miss == (Unnormalizable, str(exc))
+            refused += 1
+            continue
+        assert miss[:2] == (str(nf), seq._limit(nf).to_dict())
+    assert refused > 0
+
+
+def test_memo_raises_a_fresh_refusal_on_every_hit():
+    t = Div(Const(one), Add(Const(one), ALT))  # hits zero at odd n
+    caught = []
+    for _ in range(2):
+        with pytest.raises(Unnormalizable) as info:
+            normalize(t)
+        caught.append(info.value)
+    assert caught[0] is not caught[1]
+    assert type(caught[0]) is type(caught[1])
+    assert str(caught[0]) == str(caught[1])
+
+
+def test_memo_keeps_one_form_per_term_and_stays_bounded():
+    t = Add(u_term, N)
+    assert normalize(t) is normalize(t)
+    assert normalize(Add(u_term, N)) is not normalize(t)
+    for k in range(1000):
+        normalize(Add(N, Const(monomial(k))))
+        assert len(seq._MEMO) <= seq._MEMO_SIZE
