@@ -17,10 +17,10 @@ import numpy as np
 from flexnum.concretize import Concretization
 from flexnum.extnum import from_neutrix, monomial
 from flexnum.recur import (
+    OslashPow,
     RecurrenceSpec,
     affine_spec,
     classify_stability,
-    oslash_power,
     sample_paths,
 )
 from flexnum.scale import OSLASH, pound
@@ -32,7 +32,7 @@ print("== powers of the infinitesimal neutrix ==")
 spec = RecurrenceSpec(Mul(Const(from_neutrix(OSLASH)), Var("u")), monomial(1), horizon=8)
 path = sample_paths(spec, conc, count=1, seed=1)[0]
 for n, value in enumerate(path.values):
-    member = "-" if n == 0 else oslash_power(n).contains(value, conc)
+    member = "-" if n == 0 else OslashPow(n).contains(value, conc)
     print(f"  t_{n} = {value: .3e}   in o^{n}: {member}")
 
 print()

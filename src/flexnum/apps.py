@@ -201,13 +201,16 @@ def _check_attractive(p: SlowCurveProblem, halo_radius: float) -> None:
     """Sample the sign pattern of f on the attraction band; NotAttractive on failure."""
     ts = np.linspace(0.0, p.t_max, 13)
     ys = np.geomspace(max(halo_radius * 2, 1e-12), p.attract_width, 9)
-    for t in ts:
-        for y in ys:
-            if p.f(t, y) >= 0 or p.f(t, -y) <= 0:
-                raise NotAttractive(
-                    f"sign condition fails at (t={t:.4g}, |y|={y:.4g}): "
-                    "trajectories do not approach the slow curve"
-                )
+    # At numpy scalars a pole of f gives inf or nan instead of raising; the
+    # run itself calls f at floats and reports the pole.
+    with np.errstate(all="ignore"):
+        for t in ts:
+            for y in ys:
+                if p.f(t, y) >= 0 or p.f(t, -y) <= 0:
+                    raise NotAttractive(
+                        f"sign condition fails at (t={t:.4g}, |y|={y:.4g}): "
+                        "trajectories do not approach the slow curve"
+                    )
 
 
 def match_simulate(p: SlowCurveProblem, conc: Optional[Concretization] = None) -> MatchResult:

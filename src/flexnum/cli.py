@@ -8,6 +8,7 @@ error, unmet precondition).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -48,21 +49,21 @@ def _parse_segment(text: str) -> seq.Segment:
 
 
 def _csv_rows(payload: dict, prefix: str = ""):
-    """One ``key,value`` row per scalar field; a nested dict's fields get
-    dotted keys (``evidence.route``)."""
+    """One ``(key, text)`` row per field; a nested dict's fields get dotted
+    keys (``evidence.route``)."""
     for key, value in payload.items():
         if isinstance(value, dict):
             yield from _csv_rows(value, f"{prefix}{key}.")
         else:
-            yield f"{prefix}{key},{value}"
+            yield f"{prefix}{key}", str(value)
 
 
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        for row in _csv_rows(payload):
-            print(row)
+        # The writer quotes a value holding a comma, a quote or a line break.
+        csv.writer(sys.stdout, lineterminator="\n").writerows(_csv_rows(payload))
     else:
         for line in text_lines:
             print(line)

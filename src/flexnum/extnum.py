@@ -230,11 +230,6 @@ class ExternalNumber:
         return ExternalNumber(-self.rep, self.neutrix) if c0 < 0 else self
 
 
-def canonicalize(rep: FormalSeries, neutrix: Neutrix) -> ExternalNumber:
-    """Drop representative terms absorbed by the neutrix; the unique normal form."""
-    return ExternalNumber(rep, neutrix)
-
-
 def from_neutrix(n: Neutrix) -> ExternalNumber:
     return ExternalNumber(ZERO_SERIES, n)
 
@@ -257,10 +252,6 @@ def scale_noise(n: Neutrix, alpha: ExternalNumber) -> Neutrix:
 
 def add(a: ExternalNumber, b: ExternalNumber) -> ExternalNumber:
     return a + b
-
-
-def neg(a: ExternalNumber) -> ExternalNumber:
-    return -a
 
 
 def sub(a: ExternalNumber, b: ExternalNumber) -> ExternalNumber:
@@ -290,14 +281,6 @@ def div(num: ExternalNumber, den: ExternalNumber) -> ExternalNumber:
     q_num = prod.rep.leading()[1]
     inv = a2.inverse(noise.scaled(1, -q_num))
     return ExternalNumber(prod.rep * inv, noise)
-
-
-def neutrix_part(a: ExternalNumber) -> Neutrix:
-    return a.neutrix
-
-
-def zeroless(a: ExternalNumber) -> bool:
-    return a.is_zeroless
 
 
 def subset(a: ExternalNumber, b: ExternalNumber) -> bool:

@@ -160,7 +160,7 @@ def sample_paths(
         step, params = _compile(spec.f)
 
     draw_log = [np.empty((h, count), dtype=float) for _ in params]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for i in range(h):
             n = spec.n0 + i
             # Fresh draws per step and per occurrence; precise parameters
@@ -216,10 +216,6 @@ class OslashPow:
 
     def __str__(self):
         return f"o^{self.n}"
-
-
-def oslash_power(n: int) -> OslashPow:
-    return OslashPow(n)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +362,12 @@ def reference_path(spec: RecurrenceSpec, conc: Concretization) -> np.ndarray:
     vals = np.empty(spec.horizon + 1)
     vals[0] = conc.center(spec.u0)
     u = np.array([vals[0]])
-    for i in range(spec.horizon):
-        u = fn(spec.n0 + i, u, centers)
-        if not np.all(np.isfinite(u)):
-            raise NumericOverflow("reference path overflowed")
-        vals[i + 1] = u[0]
+    with np.errstate(all="ignore"):
+        for i in range(spec.horizon):
+            u = fn(spec.n0 + i, u, centers)
+            if not np.all(np.isfinite(u)):
+                raise NumericOverflow("reference path overflowed")
+            vals[i + 1] = u[0]
     return vals
 
 
@@ -468,12 +465,13 @@ def _classify_sampled(
         u = ref[0] + d0
         out = np.empty((spec.horizon + 1, d0.size))
         out[0] = u - ref[0]
-        for i in range(spec.horizon):
-            draws = [conc.sample(p, rng, size=d0.size) for p in params]
-            u = fn(spec.n0 + i, u, draws)
-            if not np.all(np.isfinite(u)):
-                raise NumericOverflow("perturbed path overflowed")
-            out[i + 1] = u - ref[i + 1]
+        with np.errstate(all="ignore"):
+            for i in range(spec.horizon):
+                draws = [conc.sample(p, rng, size=d0.size) for p in params]
+                u = fn(spec.n0 + i, u, draws)
+                if not np.all(np.isfinite(u)):
+                    raise NumericOverflow("perturbed path overflowed")
+                out[i + 1] = u - ref[i + 1]
         return out
 
     # Stability: perturbations inside the noise interval must stay inside an

@@ -186,17 +186,6 @@ OSLASH = oslash(0)
 POUND = pound(0)
 
 
-def neutrix_cmp(n: Neutrix, m: Neutrix) -> int:
-    """-1, 0 or 1 per the inclusion order (smaller set first)."""
-    if n == m:
-        return 0
-    return -1 if n < m else 1
-
-
-def neutrix_scale(c: Rational, q: Rational, n: Neutrix) -> Neutrix:
-    return n.scaled(c, q)
-
-
 def power_text(q: Rational) -> str:
     """Canonical text of the monomial e^q; negative powers render through w."""
     q = Fraction(q)

@@ -22,6 +22,9 @@ and all limit questions are decided on that normal form.  ``_form`` is its
 one constructor: it sums like monomials, drops absorbed ones and sorts, so
 the form does not depend on operand order.  Each question normalizes its
 term once; the Cauchy test and the order relations reuse the form they hold.
+Eventual containment u_n ⊆ v_n has one test, ``_subset``: it decides
+:func:`eventually_subset` and strong convergence, which is eventual
+containment in the limit (u_n ⊆ lim u for all large n).
 
 A caller often asks several questions of one term.  A small memo (``_once``)
 remembers the normal form of a term, or its refusal, and the global limit
@@ -641,7 +644,7 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
         if key != key0 and not size0 > _size(*key[:3]):
             raise Unnormalizable("denominator is not eventually zeroless")
     for key, nx in den.noise:
-        if nx.is_full or not _point_in_noise_strict(key0[:3], key, nx):
+        if _point_in_noise(q0, r0, b0, key, nx):
             raise Unnormalizable("denominator noise is not dominated: not eventually zeroless")
 
     inv_c0 = _ONE / c0
@@ -703,19 +706,6 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
             closing = ((2 * abs(c) * wC, q + wq, r + wr, b * wb) for (q, r, b, _s), c in power.point)
             return _form(result.point, result.noise, (*result.tails, *closing), result.trimmed or dropped)
     raise Unnormalizable("series division does not close against the result's noise")
-
-
-def _point_in_noise_strict(m0, key: NKey, nx: Neutrix) -> bool:
-    """Dominant monomial m0 strictly dominates the noise monomial (zeroless test)."""
-    q0, r0, b0 = m0
-    r, b = key
-    if nx.is_zero or nx.is_full:
-        return nx.is_zero
-    if (b, r) != (b0, r0):
-        return (b, r) < (b0, r0)
-    # Same envelope in n: the noise must not contain the monomial (a pound
-    # neutrix at the monomial's exact scale does).
-    return not nx.absorbs(q0)
 
 
 def _dominant_magnitude(nf: NormalForm) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -870,7 +860,11 @@ def n_limit(u: Term) -> LimitReport:
 
 
 def _limit(nf: NormalForm) -> LimitReport:
-    """The global limit of a normal form (see :func:`n_limit`)."""
+    """The global limit of a normal form (see :func:`n_limit`).
+
+    The limit is strong when u_n eventually lies inside it, decided by the
+    same ``_subset`` as :func:`eventually_subset`.
+    """
     lines = [f"normal form: {nf}"]
     rep_terms = []
     minimal = scale.ZERO
@@ -900,34 +894,9 @@ def _limit(nf: NormalForm) -> LimitReport:
         lines.append(f"  constant noise {nx} survives")
     # Tails vanish by construction.
     limit = ExternalNumber(FormalSeries.from_terms(rep_terms), minimal)
-    strong = _tail_containment(nf, limit)
+    strong = _subset(nf, _nf_const(Const(limit)))
     lines.append(f"limit {limit}, minimal neutrix {minimal}, strong={strong}")
     return LimitReport(Status.CONVERGES, limit, minimal, strong, "\n".join(lines))
-
-
-def _tail_containment(nf: NormalForm, limit: ExternalNumber) -> bool:
-    """Direct strong-convergence check: u_n ⊆ limit for all large n.
-
-    Every monomial of u - limit must eventually sit inside the limit's
-    neutrix.  Independent of the theorem that predicts it for imprecise
-    limits.
-    """
-    target_key = (_ZERO, _ONE)
-    target = limit.neutrix
-    rep = dict(((q, _ZERO, _ONE, False), c) for c, q in limit.rep.terms)
-    for key, c in nf.point:
-        if key in rep and rep[key] == c:
-            continue
-        q, r, b, alt = key
-        if not _point_in_noise(q, r, b, target_key, target):
-            return False
-    for (r, b), nx in nf.noise:
-        if not _noise_in_noise((r, b), nx, target_key, target):
-            return False
-    for t in nf.tails:
-        if not _point_in_noise(*t[1:], target_key, target):
-            return False
-    return True
 
 
 def n_converges(u: Term, alpha: ExternalNumber, nx: Neutrix) -> bool:
@@ -1040,7 +1009,7 @@ def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
     surviving = [
         (key, c)
         for key, c in d.point
-        if not any(_point_in_noise(key[0], key[1], key[2], k2, n2) for k2, n2 in d.noise)
+        if not any(_point_in_noise(*key[:3], k2, n2) for k2, n2 in d.noise)
     ]
     if not surviving:
         tails_ok = all(any(_point_in_noise(*t[1:], k2, n2) for k2, n2 in d.noise) for t in d.tails)
@@ -1054,7 +1023,7 @@ def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
     top = _size(*best)
     if not all(m == best or top > _size(*m) for m in classes):
         return False
-    if not all(_point_in_noise_strict(best, key, nx) for key, nx in d.noise):
+    if any(_point_in_noise(*best, key, nx) for key, nx in d.noise):
         return False
     if not all(top > _size(*t[1:]) for t in d.tails):
         return False

@@ -22,9 +22,9 @@ from flexnum.errors import Unnormalizable, UnrepresentableDivision, ZerolessRequ
 from flexnum.extnum import ExternalNumber, FormalSeries, from_neutrix, ge, gt, le, lt, monomial, subset
 from flexnum.recur import (
     Flag,
+    OslashPow,
     affine_spec,
     classify_stability,
-    oslash_power,
     sample_paths,
 )
 from flexnum.scale import MICRO, OSLASH, POUND, ZERO, oslash, pound
@@ -389,7 +389,7 @@ def test_criterion_10_recurrence_stability():
     for n in range(1, 51):
         logs = rng.uniform(math.log(1e-12), log_hi, size=(200, n)).sum(axis=1)
         total += logs.size
-        if not all(oslash_power(n).contains_log(v, conc) for v in logs):
+        if not all(OslashPow(n).contains_log(v, conc) for v in logs):
             failures.append(f"o-power membership failed at n={n}")
             break
     if total < 10_000:

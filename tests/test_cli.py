@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import os
 import shlex
+import warnings
 
 import pytest
 
@@ -120,6 +123,28 @@ class TestRecur:
         assert "evidence.alpha,1/2 + o" in rows and "evidence.limit_neutrix,e*L" in rows
 
 
+class TestCsv:
+    def rows(self, capsys, *argv):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == 2 for row in rows), rows
+        return code, dict(rows)
+
+    def test_list_value_is_one_field(self, capsys):
+        code, rows = self.rows(
+            capsys, "recur", "--f", "2*u", "--u0", "1", "--neutrix", "o", "--horizon", "5"
+        )
+        path = json.loads(rows["evidence.escaping_path"])
+        assert code == 1 and len(path) > 1 and all(isinstance(x, float) for x in path)
+
+    def test_multiline_witness_is_one_field(self, capsys):
+        code, rows = self.rows(capsys, "limit", "1/n + o", "--witness")
+        _, text, _ = run(capsys, "limit", "1/n + o", "--witness")
+        # The text output is four lines, then the witness.
+        assert code == 0 and "\n" in rows["witness"]
+        assert rows["witness"] == text.split("\n", 4)[4].rstrip("\n")
+
+
 class TestBorelRitt:
     def test_check_all(self, capsys):
         code, out, _ = run(
@@ -227,7 +252,7 @@ class TestFailuresExit2:
         assert "too large to print" in err and "set_int_max_str_digits" not in err
 
     def test_strong_convergence_invariant(self, capsys, monkeypatch):
-        monkeypatch.setattr(seq, "_tail_containment", lambda nf, limit: False)
+        monkeypatch.setattr(seq, "_subset", lambda nu, nv: False)
         err = self.assert_error(capsys, "limit", "1/n + o")
         assert err.startswith("error: internal check failed: strong convergence theorem violated")
 
@@ -235,6 +260,17 @@ class TestFailuresExit2:
         monkeypatch.setattr(seq, "_limit", lambda nf: seq._diverges("planted"))
         err = self.assert_error(capsys, "cauchy", "--neutrix", "e*L", "1/n + e*L")
         assert err.startswith("error: internal check failed: Cauchy completeness violated")
+
+    @pytest.mark.parametrize("argv", [
+        ("recur", "--f", "u/(u-u) + e*L", "--u0", "1", "--neutrix", "o", "--horizon", "5", "--samples", "10"),
+        ("match", "--f", "-y/(y-y)", "--eps", "1e-4", "--y0", "1", "--tmax", "1e-3"),
+    ], ids=["recur", "match"])
+    def test_pole_in_a_numeric_run_is_one_error_line(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
     def test_field_with_a_neutrix(self, capsys):
         err = self.assert_error(

@@ -5,7 +5,7 @@ import pytest
 
 import support
 from flexnum import seq
-from flexnum.errors import HypothesisUnverified, ZerolessRequired
+from flexnum.errors import HypothesisUnverified, Unnormalizable, ZerolessRequired
 from flexnum.extnum import from_neutrix, le, monomial, sub
 from flexnum.scale import MICRO, OSLASH, POUND, ZERO, oslash, pound
 from flexnum.seq import (
@@ -20,6 +20,7 @@ from flexnum.seq import (
     eval_at,
     eventually_bounded,
     eventually_le,
+    eventually_subset,
     limit_arith,
     minimal_convergence_neutrix,
     n_converges,
@@ -214,6 +215,20 @@ class TestInvariants:
             r = n_limit(t)
             if not r.minimal_neutrix.is_zero:
                 assert r.strong
+
+    def test_strong_is_eventual_containment_in_the_limit(self):
+        rng = random.Random(80)
+        verdicts = []
+        for _ in range(300):
+            t = support.rand_term(rng, convergent=True)
+            try:
+                r = n_limit(t)
+            except Unnormalizable:
+                continue
+            if r.converges:
+                assert r.strong == eventually_subset(t, Const(r.limit)), t
+                verdicts.append(r.strong)
+        assert len(verdicts) >= 250 and len(set(verdicts)) == 2
 
     def test_minimal_neutrix_is_sharp_in_the_oracle(self, conc):
         # Sampled trajectories stay inside the concretized limit but escape

@@ -14,7 +14,6 @@ from flexnum.recur import (
     affine_closed_form,
     affine_spec,
     classify_stability,
-    oslash_power,
     reference_path,
     sample_paths,
 )
@@ -55,7 +54,7 @@ class TestPaths:
         spec = RecurrenceSpec(Mul(Const(from_neutrix(OSLASH)), Var("u")), one, horizon=10)
         for p in sample_paths(spec, conc_coarse, count=64, seed=2):
             for n in range(1, 11):
-                assert oslash_power(n).contains(p.values[n], conc_coarse)
+                assert OslashPow(n).contains(p.values[n], conc_coarse)
 
     def test_reproducible(self, conc_coarse):
         spec = RecurrenceSpec(Mul(Const(from_neutrix(OSLASH)), Var("u")), one, horizon=6)
@@ -141,8 +140,8 @@ class TestAffine:
 class TestOslashPow:
     def test_membership(self, conc_coarse):
         eps = conc_coarse.eps0
-        assert oslash_power(3).contains(eps ** 3, conc_coarse)
-        assert not oslash_power(5).contains(1.0, conc_coarse)
+        assert OslashPow(3).contains(eps ** 3, conc_coarse)
+        assert not OslashPow(5).contains(1.0, conc_coarse)
 
     def test_multiplicative(self, conc_coarse):
         rng = conc_coarse.rng(77)
@@ -151,14 +150,14 @@ class TestOslashPow:
             m, k = rng.integers(1, 6), rng.integers(1, 6)
             logs_x = np.log(rng.uniform(1e-12, r, size=int(m))).sum()
             logs_y = np.log(rng.uniform(1e-12, r, size=int(k))).sum()
-            assert oslash_power(int(m)).contains_log(logs_x, conc_coarse)
-            assert oslash_power(int(k)).contains_log(logs_y, conc_coarse)
-            assert oslash_power(int(m + k)).contains_log(logs_x + logs_y, conc_coarse)
-        assert oslash_power(2) * oslash_power(3) == oslash_power(5)
+            assert OslashPow(int(m)).contains_log(logs_x, conc_coarse)
+            assert OslashPow(int(k)).contains_log(logs_y, conc_coarse)
+            assert OslashPow(int(m + k)).contains_log(logs_x + logs_y, conc_coarse)
+        assert OslashPow(2) * OslashPow(3) == OslashPow(5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            oslash_power(0)
+            OslashPow(0)
 
 
 class TestStability:

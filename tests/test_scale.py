@@ -32,20 +32,20 @@ class TestTables:
         assert MICRO * MICRO == MICRO
 
     def test_cmp_chain(self):
-        assert scale.neutrix_cmp(OSLASH, POUND) == -1
-        assert scale.neutrix_cmp(MICRO, oslash(5)) == -1
-        assert scale.neutrix_cmp(pound(2), oslash(1)) == -1
-        assert scale.neutrix_cmp(ZERO, MICRO) == -1
-        assert scale.neutrix_cmp(POUND, FULL) == -1
-        assert scale.neutrix_cmp(POUND, POUND) == 0
+        assert OSLASH < POUND
+        assert MICRO < oslash(5)
+        assert pound(2) < oslash(1)
+        assert ZERO < MICRO
+        assert POUND < FULL
+        assert POUND <= POUND and not POUND < POUND
 
     def test_scale_monomial(self):
-        assert scale.neutrix_scale(3, 0, OSLASH) == OSLASH
-        assert scale.neutrix_scale(1, 2, POUND) == pound(2)
-        assert scale.neutrix_scale(1, 1, MICRO) == MICRO
-        assert scale.neutrix_scale(-2, Fraction(1, 2), oslash(1)) == oslash(Fraction(3, 2))
+        assert OSLASH.scaled(3, 0) == OSLASH
+        assert POUND.scaled(1, 2) == pound(2)
+        assert MICRO.scaled(1, 1) == MICRO
+        assert oslash(1).scaled(-2, Fraction(1, 2)) == oslash(Fraction(3, 2))
         with pytest.raises(ValueError):
-            scale.neutrix_scale(0, 1, OSLASH)
+            OSLASH.scaled(0, 1)
 
     def test_inclusion_chain(self):
         chain = [ZERO, MICRO, oslash(2), pound(2), oslash(1), pound(1), OSLASH, POUND, FULL]
