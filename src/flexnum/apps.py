@@ -206,7 +206,8 @@ def _check_attractive(p: SlowCurveProblem, halo_radius: float) -> None:
     with np.errstate(all="ignore"):
         for t in ts:
             for y in ys:
-                if p.f(t, y) >= 0 or p.f(t, -y) <= 0:
+                # Written so that a nan sample fails the test.
+                if not (p.f(t, y) < 0 and p.f(t, -y) > 0):
                     raise NotAttractive(
                         f"sign condition fails at (t={t:.4g}, |y|={y:.4g}): "
                         "trajectories do not approach the slow curve"

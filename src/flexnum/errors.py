@@ -35,7 +35,7 @@ class HypothesisUnverified(FlexError):
 
 
 class NumericOverflow(FlexError):
-    """A sampled path left the range of double precision."""
+    """A sampled path left the range of double precision or became not a number."""
 
 
 class ContractionRequired(FlexError):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Tuple
 
 from . import scale
@@ -38,9 +39,13 @@ _MAX_INVERSE_ROUNDS = 64
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """Finite sum of monomials c*e^q, sorted by ascending exponent.
+    """Finite sum of monomials c*e^q; the empty series is 0.
 
-    No duplicate exponents, no zero coefficients; the empty series is 0.
+    Canonical form, which every constructor keeps and the arithmetic relies
+    on: exponents strictly ascending (no duplicates), no zero coefficients,
+    and every coefficient and exponent a ``Fraction``.  Build from arbitrary
+    ``(c, q)`` items through :meth:`from_terms`; the raw constructor takes
+    terms already in canonical form.
     """
 
     terms: Tuple[Term, ...] = ()
@@ -49,13 +54,12 @@ class FormalSeries:
     def from_terms(items: Iterable[Tuple[Rational, Rational]]) -> "FormalSeries":
         acc: dict = {}
         for c, q in items:
-            c = Fraction(c)
-            q = Fraction(q)
+            c = _fraction(c)
             if c == 0:
                 continue
-            acc[q] = acc.get(q, Fraction(0)) + c
-        terms = tuple(sorted(((c, q) for q, c in acc.items() if c != 0), key=lambda t: t[1]))
-        return FormalSeries(terms)
+            q = _fraction(q)
+            acc[q] = acc[q] + c if q in acc else c
+        return _from_exponent_map(acc)
 
     @staticmethod
     def monomial(c: Rational, q: Rational = 0) -> "FormalSeries":
@@ -70,7 +74,30 @@ class FormalSeries:
         return self.terms[0]
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        return FormalSeries.from_terms(self.terms + other.terms)
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (ca, qa), (cb, qb) = a[i], b[j]
+            if qa < qb:
+                out.append(a[i])
+                i += 1
+            elif qb < qa:
+                out.append(b[j])
+                j += 1
+            else:
+                c = ca + cb
+                if c:
+                    out.append((c, qa))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return FormalSeries(tuple(out))
 
     def __neg__(self) -> "FormalSeries":
         return FormalSeries(tuple((-c, q) for c, q in self.terms))
@@ -79,13 +106,16 @@ class FormalSeries:
         return self + (-other)
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        return FormalSeries.from_terms(
-            (c1 * c2, q1 + q2) for c1, q1 in self.terms for c2, q2 in other.terms
-        )
+        acc: dict = {}
+        for c1, q1 in self.terms:
+            for c2, q2 in other.terms:
+                q = q1 + q2
+                acc[q] = acc[q] + c1 * c2 if q in acc else c1 * c2
+        return _from_exponent_map(acc)
 
     def scaled(self, c: Rational, q: Rational = 0) -> "FormalSeries":
-        c = Fraction(c)
-        q = Fraction(q)
+        c = _fraction(c)
+        q = _fraction(q)
         return FormalSeries(tuple((c * c0, q + q0) for c0, q0 in self.terms)) if c else FormalSeries()
 
     def inverse(self, target: Neutrix) -> "FormalSeries":
@@ -100,7 +130,7 @@ class FormalSeries:
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero series")
         c0, q0 = self.leading()
-        lead_inv = FormalSeries.monomial(Fraction(1, 1) / c0, -q0)
+        lead_inv = FormalSeries.monomial(1 / c0, -q0)
         if len(self.terms) == 1:
             return lead_inv
         if not target.is_mono and not target.is_full:
@@ -110,20 +140,19 @@ class FormalSeries:
                 f"1/({self}) has no finite series form against neutrix {target}"
             )
         # t has only positive exponents: self = lead * (1 + t).
-        t = (self - FormalSeries.monomial(c0, q0)).scaled(1 / c0, -q0)
+        t = FormalSeries(self.terms[1:]).scaled(1 / c0, -q0)
         out = FormalSeries.monomial(1, 0)
-        power = FormalSeries.monomial(1, 0)
-        sign = 1
-        for _ in range(_MAX_INVERSE_ROUNDS):
-            sign = -sign
-            power = power * t
+        power = out
+        for k in range(_MAX_INVERSE_ROUNDS):
             # A relative term at exponent q lands at q - q0 in the inverse.
-            kept = FormalSeries(
-                tuple((Fraction(sign) * c, q) for c, q in power.terms if not target.absorbs(q - q0))
-            )
-            if kept.is_zero:
+            # The target absorbs every exponent above one it absorbs and t
+            # only raises exponents, so a term dropped from a power never
+            # feeds a kept term of a later power.
+            power = power * t
+            power = FormalSeries(tuple(tm for tm in power.terms if not target.absorbs(tm[1] - q0)))
+            if power.is_zero:
                 return lead_inv * out
-            out = out + kept
+            out = out + (-power if k % 2 == 0 else power)
         raise UnrepresentableDivision(
             f"series inverse of {self} does not terminate against neutrix {target}"
         )
@@ -141,6 +170,15 @@ class FormalSeries:
 
     def __repr__(self) -> str:
         return f"FormalSeries({self})"
+
+
+def _fraction(x: Rational) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _from_exponent_map(acc: dict) -> FormalSeries:
+    """The canonical series of an {exponent: coefficient} map of Fractions."""
+    return FormalSeries(tuple(sorted(((c, q) for q, c in acc.items() if c), key=itemgetter(1))))
 
 
 def _rat_text(c: Fraction) -> str:
@@ -176,9 +214,13 @@ class ExternalNumber:
     neutrix: Neutrix = scale.ZERO
 
     def __post_init__(self):
-        kept = tuple(t for t in self.rep.terms if not self.neutrix.absorbs(t[1]))
-        if kept != self.rep.terms:
-            object.__setattr__(self, "rep", FormalSeries(kept))
+        # Exponents ascend and a neutrix that absorbs e^q absorbs every
+        # smaller power, so the absorbed terms are a tail.
+        terms = self.rep.terms
+        for i, (_, q) in enumerate(terms):
+            if self.neutrix.absorbs(q):
+                object.__setattr__(self, "rep", FormalSeries(terms[:i]))
+                break
 
     # -- basic structure ----------------------------------------------------
 

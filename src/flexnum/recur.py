@@ -113,6 +113,12 @@ def _summands(f: Term) -> List[Term]:
     return fold(f, _SUMMANDS)
 
 
+def _refuse_nan(u: np.ndarray, path: str, n: int) -> None:
+    """Refuse a non-finite step that holds a nan: it left the reals without overflowing."""
+    if np.any(np.isnan(u)):
+        raise NumericOverflow(f"{path} is not a number at step n={n}")
+
+
 def sample_paths(
     spec: RecurrenceSpec,
     conc: Concretization,
@@ -170,6 +176,7 @@ def sample_paths(
                 draw_log[j][i] = d
             nxt = step(n, values[i], draws)
             if not np.all(np.isfinite(nxt)) or np.any(np.abs(nxt) > _OVERFLOW):
+                _refuse_nan(nxt, "path", n)
                 raise NumericOverflow(f"path left double range at step n={n}")
             values[i + 1] = nxt
 
@@ -366,6 +373,7 @@ def reference_path(spec: RecurrenceSpec, conc: Concretization) -> np.ndarray:
         for i in range(spec.horizon):
             u = fn(spec.n0 + i, u, centers)
             if not np.all(np.isfinite(u)):
+                _refuse_nan(u, "reference path", spec.n0 + i)
                 raise NumericOverflow("reference path overflowed")
             vals[i + 1] = u[0]
     return vals
@@ -470,6 +478,7 @@ def _classify_sampled(
                 draws = [conc.sample(p, rng, size=d0.size) for p in params]
                 u = fn(spec.n0 + i, u, draws)
                 if not np.all(np.isfinite(u)):
+                    _refuse_nan(u, "perturbed path", spec.n0 + i)
                     raise NumericOverflow("perturbed path overflowed")
                 out[i + 1] = u - ref[i + 1]
         return out

@@ -64,7 +64,8 @@ class Neutrix:
         if self.variant is _Variant.MONO:
             if self.kind is None:
                 raise ValueError("monomial neutrix needs a kind")
-            object.__setattr__(self, "q", Fraction(self.q))
+            if not isinstance(self.q, Fraction):
+                object.__setattr__(self, "q", Fraction(self.q))
         else:
             if self.kind is not None or self.q != 0:
                 raise ValueError("kind/exponent only apply to monomial neutrices")
@@ -93,7 +94,6 @@ class Neutrix:
         The rational coefficient is irrelevant: the group absorbs appreciable
         factors.
         """
-        q = Fraction(q)
         if self.variant is _Variant.FULL:
             return True
         if self.variant is _Variant.MONO:
@@ -108,7 +108,7 @@ class Neutrix:
     def _order_key(self):
         if self.variant is _Variant.MONO:
             return (self.variant, -self.q, self.kind)
-        return (self.variant, Fraction(0), 0)
+        return (self.variant, 0, 0)
 
     def __lt__(self, other: "Neutrix") -> bool:
         return self._order_key() < other._order_key()
@@ -148,7 +148,7 @@ class Neutrix:
         if c == 0:
             raise ValueError("scale factor must be nonzero")
         if self.variant is _Variant.MONO:
-            return Neutrix(_Variant.MONO, self.kind, self.q + Fraction(q))
+            return Neutrix(_Variant.MONO, self.kind, self.q + q)
         return self
 
     def __str__(self) -> str:

@@ -289,9 +289,14 @@ def _ext_pow(v: ExternalNumber, k: Fraction) -> ExternalNumber:
     if k.denominator == 1:
         e = k.numerator
         if e >= 0:
+            # Binary powering: external multiplication is associative.
             out = monomial(1)
-            for _ in range(e):
-                out = out * v
+            while e:
+                if e & 1:
+                    out = out * v
+                e >>= 1
+                if e:
+                    v = v * v
             return out
         inv = _ext_pow(v, Fraction(-e))
         if not inv.is_zeroless:

@@ -272,6 +272,20 @@ class TestFailuresExit2:
         assert [str(w.message) for w in caught] == []
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_field_not_real_on_the_band(self, capsys):
+        # At -y the field is the square root of a negative number: nan at numpy scalars.
+        err = self.assert_error(
+            capsys, "match", "--f", "-y^(1/2)", "--eps", "1e-4", "--y0", "1", "--tmax", "1e-3"
+        )
+        assert err.count("\n") == 1 and "sign condition fails" in err
+
+    def test_nan_path_is_not_an_overflow(self, capsys):
+        err = self.assert_error(
+            capsys, "recur", "--f", "(u - 2)^(1/2) + e*L", "--u0", "1", "--neutrix", "o",
+            "--horizon", "5", "--samples", "10",
+        )
+        assert err == "error: reference path is not a number at step n=0\n"
+
     def test_field_with_a_neutrix(self, capsys):
         err = self.assert_error(
             capsys, "match", "--f", "y + o", "--eps", "1e-4", "--y0", "1", "--tmax", "1e-3"

@@ -96,8 +96,27 @@ class TestPaths:
 
     def test_overflow(self, conc_coarse):
         spec = affine_spec(monomial(10 ** 150), ZERO, one, horizon=4)
-        with pytest.raises(NumericOverflow):
+        with pytest.raises(NumericOverflow, match=r"^path left double range at step n=\d+$"):
             sample_paths(spec, conc_coarse, count=2, seed=1)
+        with pytest.raises(NumericOverflow, match=r"^reference path overflowed$"):
+            reference_path(affine_spec(monomial(10 ** 200), ZERO, one, horizon=4), conc_coarse)
+
+    def test_nan_path_is_not_an_overflow(self, conc_coarse):
+        # The square root of a negative value is nan, not out of range.
+        spec = RecurrenceSpec(Pow(Add(Var("u"), Const(monomial(-2))), Fraction(1, 2)), one, horizon=5)
+        with pytest.raises(NumericOverflow, match=r"^path is not a number at step n=0$"):
+            sample_paths(spec, conc_coarse, count=4, seed=1)
+
+    def test_nan_reference_path_is_not_an_overflow(self, conc_coarse):
+        spec = RecurrenceSpec(Pow(Add(Var("u"), Const(monomial(-2))), Fraction(1, 2)), one, horizon=5)
+        with pytest.raises(NumericOverflow, match=r"^reference path is not a number at step n=0$"):
+            reference_path(spec, conc_coarse)
+
+    def test_nan_perturbed_path_is_not_an_overflow(self, conc_coarse):
+        # The reference path stays at 0; a perturbation below it has no square root.
+        spec = RecurrenceSpec(Pow(Var("u"), Fraction(1, 2)), monomial(0), horizon=5)
+        with pytest.raises(NumericOverflow, match=r"^perturbed path is not a number at step n=0$"):
+            classify_stability(spec, monomial(0), OSLASH, conc_coarse, samples=10)
 
     def test_drain_path_tracks_closed_form(self, conc_coarse):
         spec = drain_spec(a=2, horizon=400)

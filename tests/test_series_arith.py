@@ -1,0 +1,168 @@
+"""Series arithmetic keeps the canonical form and agrees with plain references.
+
+``FormalSeries`` arithmetic works on its canonical form (exponents strictly
+ascending, no zero coefficients, every value a ``Fraction``).  The references
+below rebuild each result from all its monomials, as the constructor
+``from_terms`` does, and expand the series inverse without truncating its
+powers; the fast paths must give the same series.
+"""
+
+import itertools
+import os
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+import support
+from flexnum import scale, seq
+from flexnum.errors import UnrepresentableDivision
+from flexnum.extnum import FormalSeries, monomial
+from flexnum.scale import FULL, MICRO, ZERO, oslash, pound
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+sys.path.insert(0, os.path.abspath(PERFBENCH))
+
+import inputs  # noqa: E402
+
+TARGETS = [ZERO, MICRO, FULL] + [kind(q) for q in range(-3, 4) for kind in (oslash, pound)]
+
+
+def ref_from_terms(items):
+    acc = {}
+    for c, q in items:
+        c, q = Fraction(c), Fraction(q)
+        if c != 0:
+            acc[q] = acc.get(q, Fraction(0)) + c
+    return FormalSeries(tuple(sorted(((c, q) for q, c in acc.items() if c != 0), key=lambda t: t[1])))
+
+
+def ref_add(a, b):
+    return ref_from_terms(a.terms + b.terms)
+
+
+def ref_mul(a, b):
+    return ref_from_terms((c1 * c2, q1 + q2) for c1, q1 in a.terms for c2, q2 in b.terms)
+
+
+def ref_inverse(s, target):
+    """1/s by the geometric expansion, every power kept whole."""
+    c0, q0 = s.terms[0]
+    lead_inv = ref_from_terms([(1 / c0, -q0)])
+    if len(s.terms) == 1:
+        return lead_inv
+    if not target.is_mono and not target.is_full:
+        raise UnrepresentableDivision(f"1/({s}) has no finite series form against neutrix {target}")
+    t = ref_from_terms((c / c0, q - q0) for c, q in s.terms[1:])
+    out = power = ref_from_terms([(1, 0)])
+    sign = 1
+    for _ in range(64):
+        sign = -sign
+        power = ref_mul(power, t)
+        kept = [(sign * c, q) for c, q in power.terms if not target.absorbs(q - q0)]
+        if not kept:
+            return ref_mul(lead_inv, out)
+        out = ref_add(out, ref_from_terms(kept))
+    raise UnrepresentableDivision(f"series inverse of {s} does not terminate against neutrix {target}")
+
+
+def assert_canonical(s):
+    qs = [q for _, q in s.terms]
+    assert all(p < q for p, q in zip(qs, qs[1:])), s.terms
+    for c, q in s.terms:
+        assert c != 0 and type(c) is Fraction and type(q) is Fraction, s.terms
+
+
+def rand_series(rng):
+    """The representative of a support.py value, or a bare sum of 0-4 of its monomials."""
+    if rng.random() < 0.5:
+        return support.rand_extnum(rng).rep
+    return FormalSeries.from_terms(
+        (support.rand_coeff(rng), support.rand_exponent(rng)) for _ in range(rng.randint(0, 4)))
+
+
+def test_arithmetic_is_canonical_and_matches_reference():
+    rng = random.Random(9101)
+    for _ in range(2000):
+        a, b = rand_series(rng), rand_series(rng)
+        for got, want in [
+            (a + b, ref_add(a, b)),
+            (a - b, ref_add(a, ref_from_terms((-c, q) for c, q in b.terms))),
+            (a * b, ref_mul(a, b)),
+        ]:
+            assert_canonical(got)
+            assert got == want
+        for c, q in [(support.rand_coeff(rng), support.rand_exponent(rng)), (rng.randint(-3, 3), rng.randint(-3, 3))]:
+            got = a.scaled(c, q)
+            assert_canonical(got)
+            assert got == ref_from_terms((c * c0, q + q0) for c0, q0 in a.terms)
+
+
+def test_from_terms_wraps_ints_and_merges():
+    s = FormalSeries.from_terms([(2, 1), (1, 0), (Fraction(-2), Fraction(1)), (0, 5), (3, Fraction(1, 2))])
+    assert_canonical(s)
+    assert s.terms == ((Fraction(1), Fraction(0)), (Fraction(3), Fraction(1, 2)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnrepresentableDivision as exc:
+        return type(exc), str(exc)
+
+
+def test_inverse_matches_untruncated_expansion():
+    rng = random.Random(9102)
+    seen = set()
+    for _ in range(600):
+        s = rand_series(rng)
+        if s.is_zero:
+            continue
+        target = rng.choice(TARGETS)
+        got, want = _outcome(s.inverse, target), _outcome(ref_inverse, s, target)
+        assert got == want, (s, target)
+        if isinstance(got, FormalSeries):
+            assert_canonical(got)
+        kind = "refused" if isinstance(got, tuple) else "mono" if target.is_mono else "full"
+        seen.add((kind, len(s.terms) > 1))
+    assert {("mono", True), ("full", True), ("refused", True), ("mono", False)} <= seen
+
+
+@pytest.mark.parametrize("target,terms", [(pound(1), 64), (oslash(1), None)], ids=["closes", "refused"])
+def test_inverse_round_limit(target, terms):
+    # The powers of e^(1/64) reach e*L in the 64th and last round, and e*o only after it.
+    s = FormalSeries.from_terms([(1, 0), (1, Fraction(1, 64))])
+    got, want = _outcome(s.inverse, target), _outcome(ref_inverse, s, target)
+    assert got == want
+    if terms is None:
+        assert got == (UnrepresentableDivision,
+                       f"series inverse of {s} does not terminate against neutrix {target}")
+    else:
+        assert len(got.terms) == terms
+
+
+@pytest.mark.parametrize("nx", TARGETS, ids=str)
+def test_neutrix_int_and_fraction_exponents_agree(nx):
+    for q in range(-4, 5):
+        assert nx.absorbs(q) == nx.absorbs(Fraction(q))
+        for c in (1, Fraction(-3, 2)):
+            a, b = nx.scaled(c, q), nx.scaled(c, Fraction(q))
+            assert a == b and hash(a) == hash(b) and type(a.q) is Fraction
+    if nx.is_mono:
+        raw = scale.Neutrix(nx.variant, nx.kind, int(nx.q))
+        assert raw == nx and hash(raw) == hash(nx) and type(raw.q) is Fraction
+
+
+def test_integer_powers_by_squaring_match_repeated_products():
+    pairs = itertools.islice(inputs.extnum_pairs(random.Random("powers/5")), 1500)
+    cases = 0
+    for v in itertools.chain.from_iterable(pairs):
+        for e in (2, 3, 5, 7):
+            want = monomial(1)
+            for _ in range(e):
+                want = want * v
+            assert seq._ext_pow(v, Fraction(e)) == want, (v, e)
+            cases += 1
+    assert cases == 12000
+
