@@ -11,32 +11,9 @@ provides, on an asymptotic scale generated by one infinitesimal ``e``:
 - ``apps``        shadow expansions and slow-curve matching
 - ``concretize``  the numeric interval model used as a cross-checking oracle
 - ``dsl``/``cli`` text syntax and the command-line front end
+
+Importing the package loads none of these; import the module you use
+(``from flexnum import seq``).
 """
 
-from . import apps, concretize, dsl, errors, extnum, recur, scale, seq
-from .concretize import Concretization
-from .extnum import ExternalNumber, FormalSeries
-from .scale import Neutrix
-from .seq import LimitReport, NormalForm, Segment, Term
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "apps",
-    "concretize",
-    "dsl",
-    "errors",
-    "extnum",
-    "recur",
-    "scale",
-    "seq",
-    "Concretization",
-    "ExternalNumber",
-    "FormalSeries",
-    "Neutrix",
-    "LimitReport",
-    "NormalForm",
-    "Segment",
-    "Term",
-    "__version__",
-]

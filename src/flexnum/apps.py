@@ -32,6 +32,9 @@ from .seq import Segment, limited
 
 Coeffs = Sequence[Union[int, Fraction]]
 
+# Draws from b's noise in the numeric half of shadow_check.
+_SHADOW_SAMPLES = 16
+
 
 @dataclass(frozen=True)
 class ShadowExpansion:
@@ -103,7 +106,6 @@ def shadow_check(
     n: int,
     conc: Concretization,
     numeric_offset: float = 0.0,
-    samples: int = 16,
 ) -> bool:
     """Level-n shadow test: (b - s_n) / e^(n+1) must sit inside a_{n+1} + o.
 
@@ -138,7 +140,7 @@ def shadow_check(
         # coefficient outgrows the o-interval.  Exactness rules these levels.
         return True
     rng = conc.rng(stream=9000 + n)
-    noise = conc.sample_neutrix(b.neutrix, rng, size=samples) + numeric_offset
+    noise = conc.sample_neutrix(b.neutrix, rng, size=_SHADOW_SAMPLES) + numeric_offset
     quotients = center + noise / conc.eps0 ** (n + 1)
     numeric = bool(np.all(np.abs(quotients) <= threshold))
     return symbolic and numeric

@@ -14,12 +14,15 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import apps, dsl, recur, seq
-from .concretize import Concretization
+# The numeric layers import numpy; each numeric command imports them itself,
+# so that the symbolic commands do not pay for importing numpy.
+from . import dsl, seq
 from .errors import FlexError
 
 
-def _conc_from_args(args) -> Concretization:
+def _conc_from_args(args):
+    from .concretize import Concretization
+
     overrides = {}
     if args.eps0 is not None:
         overrides["eps0"] = args.eps0
@@ -115,6 +118,8 @@ def _cmd_cauchy(args) -> int:
 
 
 def _cmd_recur(args) -> int:
+    from . import recur
+
     conc = _conc_from_args(args)
     f = dsl.parse_recur_rhs(args.f)
     u0 = dsl.parse_extnum(args.u0)
@@ -134,6 +139,8 @@ def _cmd_recur(args) -> int:
 
 
 def _cmd_borel_ritt(args) -> int:
+    from . import apps
+
     conc = _conc_from_args(args)
     coeffs = [Fraction(c.strip()) for c in args.coeffs.split(",")]
     shadow = apps.borel_ritt(coeffs, args.order)
@@ -154,6 +161,8 @@ def _cmd_borel_ritt(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    from . import apps
+
     conc = _conc_from_args(args)
     f = dsl.parse_scalar_field(args.f)
     dt = args.eps / 20.0 if args.dt == "auto" else float(args.dt)

@@ -95,12 +95,10 @@ class Concretization:
         slack = 8.0 * np.finfo(float).eps * max(abs(c), abs(x))
         return bool(abs(x - c) <= self.radius(a.neutrix) + slack)
 
-    def sample(self, a: ExternalNumber, rng: np.random.Generator, size=None):
-        """Uniform draw(s) from the concretized interval; always satisfies contains."""
+    def sample(self, a: ExternalNumber, rng: np.random.Generator, size: int):
+        """Uniform draws from the concretized interval; always satisfies contains."""
         r = self.radius(a.neutrix)
         c = self.center(a)
-        if size is None:
-            return c + rng.uniform(-r, r) if r else c
         base = np.full(size, c, dtype=float)
         return base + rng.uniform(-r, r, size=size) if r else base
 

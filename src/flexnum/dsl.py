@@ -265,10 +265,8 @@ def _div(a, b, text, pos):
 
 def _pow(base, k: Fraction, text, pos):
     if isinstance(base, ExternalNumber):
-        from .seq import _ext_pow
-
         try:
-            return _ext_pow(base, k)
+            return seq._ext_pow(base, k)
         except FlexError as exc:
             raise ParseError(str(exc), position=pos, source=text) from exc
     return seq.Pow(base, k)

@@ -280,7 +280,6 @@ def monomial(c: Rational, q: Rational = 0, neutrix: Neutrix = scale.ZERO) -> Ext
     return ExternalNumber(FormalSeries.monomial(c, q), neutrix)
 
 
-ONE = monomial(1, 0)
 ZERO = ExternalNumber()
 
 

@@ -838,11 +838,9 @@ class LimitReport:
         return self.status is Status.CONVERGES
 
     def to_dict(self) -> dict:
-        from .dsl import print_extnum
-
         return {
             "status": self.status.value,
-            "limit": print_extnum(self.limit) if self.limit is not None else None,
+            "limit": str(self.limit) if self.limit is not None else None,
             "minimal_neutrix": str(self.minimal_neutrix) if self.minimal_neutrix else None,
             "strong": self.strong,
             "witness": self.witness,

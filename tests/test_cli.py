@@ -3,6 +3,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -194,6 +196,29 @@ def _readme_commands():
 def test_readme_command_lines_exit_0(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 0, err
+
+
+_LAYERS_PROGRAM = """
+import sys
+import flexnum
+loaded = sorted(name for name in sys.modules if name.startswith("flexnum."))
+assert loaded == [], f"import flexnum loaded {loaded}"
+from flexnum.cli import main
+for argv in ARGVS:
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "a symbolic command imported numpy"
+"""
+
+
+def test_symbolic_commands_start_without_numpy():
+    # A fresh interpreter: this test process has imported every layer already.
+    symbolic = [argv for argv in _readme_commands() if argv[0] in ("eval", "limit", "cauchy")]
+    assert len(symbolic) >= 4, symbolic
+    src = os.path.dirname(os.path.dirname(os.path.abspath(seq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    program = f"ARGVS = {symbolic!r}\n" + _LAYERS_PROGRAM
+    proc = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCommonOptions:
