@@ -15,6 +15,9 @@ containment chain is impossible, so oracle assertions that depend on strict
 separation must be gated on :func:`separated`; containment checks are
 inclusive and need no gap.
 
+:meth:`Concretization.sampler` fixes a number's interval once and returns a
+draw function that draws exactly what :meth:`Concretization.sample` draws.
+
 Environment overrides: FLEX_EPS0, FLEX_DELTA, FLEX_MICRO_EXP, FLEX_SEED.
 """
 
@@ -95,12 +98,21 @@ class Concretization:
         slack = 8.0 * np.finfo(float).eps * max(abs(c), abs(x))
         return bool(abs(x - c) <= self.radius(a.neutrix) + slack)
 
-    def sample(self, a: ExternalNumber, rng: np.random.Generator, size: int):
-        """Uniform draws from the concretized interval; always satisfies contains."""
+    def sampler(self, a: ExternalNumber):
+        """``draw(rng, size)``: what ``sample(a, rng, size)`` draws, with a's
+        interval fixed once; a precise a consumes no randomness."""
         r = self.radius(a.neutrix)
         c = self.center(a)
-        base = np.full(size, c, dtype=float)
-        return base + rng.uniform(-r, r, size=size) if r else base
+
+        def draw(rng: np.random.Generator, size: int):
+            base = np.full(size, c, dtype=float)
+            return base + rng.uniform(-r, r, size=size) if r else base
+
+        return draw
+
+    def sample(self, a: ExternalNumber, rng: np.random.Generator, size: int):
+        """Uniform draws from the concretized interval; always satisfies contains."""
+        return self.sampler(a)(rng, size)
 
     def sample_neutrix(self, n: Neutrix, rng: np.random.Generator, size=None):
         r = self.radius(n)

@@ -166,12 +166,13 @@ def sample_paths(
         step, params = _compile(spec.f)
 
     draw_log = [np.empty((h, count), dtype=float) for _ in params]
+    samplers = [conc.sampler(p) for p in params]
     with np.errstate(all="ignore"):
         for i in range(h):
             n = spec.n0 + i
             # Fresh draws per step and per occurrence; precise parameters
             # sample to their exact value without consuming randomness.
-            draws = [conc.sample(p, rng, size=count) for p in params]
+            draws = [s(rng, count) for s in samplers]
             for j, d in enumerate(draws):
                 draw_log[j][i] = d
             nxt = step(n, values[i], draws)
@@ -435,8 +436,7 @@ def _classify_affine(
         # Expansion: construct the escaping difference explicitly.
         q = conc.center(abs(alpha)) - conc.radius(alpha.neutrix)
         r = conc.radius(noise) if not noise.is_zero else conc.eps0
-        d0 = r if not noise.is_zero else conc.eps0
-        path = [d0]
+        path = [r]
         while abs(path[-1]) <= 10.0 * r + 1.0 and len(path) < 10_000:
             path.append(path[-1] * q)
         evidence.update(
@@ -468,6 +468,7 @@ def _classify_sampled(
     }
     rng = np.random.default_rng([conc.seed, seed, 7])
     fn, params = _compile(spec.f)
+    samplers = [conc.sampler(p) for p in params]
 
     def run_difference(d0: np.ndarray) -> np.ndarray:
         u = ref[0] + d0
@@ -475,7 +476,7 @@ def _classify_sampled(
         out[0] = u - ref[0]
         with np.errstate(all="ignore"):
             for i in range(spec.horizon):
-                draws = [conc.sample(p, rng, size=d0.size) for p in params]
+                draws = [s(rng, d0.size) for s in samplers]
                 u = fn(spec.n0 + i, u, draws)
                 if not np.all(np.isfinite(u)):
                     _refuse_nan(u, "perturbed path", spec.n0 + i)
@@ -487,9 +488,8 @@ def _classify_sampled(
     # appreciable multiple of it.
     within = conc.sample_neutrix(noise, rng, size=samples) if not noise.is_zero else np.zeros(samples)
     diffs = run_difference(within)
-    escape = np.abs(diffs).max(axis=0) > max(r_noise, 1e-300) * _ESCAPE_FACTOR
-    if noise.is_zero:
-        escape = np.abs(diffs).max(axis=0) > 0.0
+    bound = 0.0 if noise.is_zero else max(r_noise, 1e-300) * _ESCAPE_FACTOR
+    escape = np.abs(diffs).max(axis=0) > bound
     stable = Flag.FALSIFIED if bool(escape.any()) else Flag.UNKNOWN
     if stable is Flag.FALSIFIED:
         j = int(np.argmax(escape))
@@ -514,7 +514,4 @@ def _classify_sampled(
             all_scales_fail = False
     evidence["tolerance_scales"] = per_scale
     asym = Flag.FALSIFIED if all_scales_fail else Flag.UNKNOWN
-    strong = asym if not noise.is_zero else (
-        Flag.FALSIFIED if all_scales_fail else Flag.UNKNOWN
-    )
-    return StabilityVerdict(stable, asym, strong, evidence)
+    return StabilityVerdict(stable, asym, asym, evidence)

@@ -71,6 +71,28 @@ class TestBorelRitt:
             for n in range(k):
                 assert apps.shadow_check(sh.value, coeffs, n, conc_coarse)
 
+    def test_pair_bounds_match_brute_force(self):
+        def brute_force(coeffs, k):
+            exp = apps.ShadowExpansion.of(coeffs)
+            bounds = []
+            for m in range(k + 1):
+                for n in range(m + 1, k + 1):
+                    diff = exp.partial_sum(n) - exp.partial_sum(m)
+                    bound = pound(m + 1)
+                    assert all(bound.absorbs(q) for _, q in diff.terms)
+                    bounds.append((m, n, bound))
+            return tuple(bounds)
+
+        rng = random.Random(1103)
+        for length in range(2, 18):
+            for _ in range(3):
+                coeffs = [rng.choice((0, 0, 1, -3, Fraction(rng.randint(-99, 99), rng.randint(1, 7))))
+                          for _ in range(length)]
+                for k in sorted({length - 1, rng.randint(1, length - 1)}):
+                    order = None if k == length - 1 else k
+                    sh = apps.borel_ritt(coeffs, order)
+                    assert sh.certificate.pair_bounds == brute_force(coeffs, k), (coeffs, order)
+
 
 def linear_problem(eps0: float, dt=None, tmax=None) -> apps.SlowCurveProblem:
     return apps.SlowCurveProblem(

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,46 @@ class TestSampling:
         s1 = conc.sample(x, conc.rng(1), size=8)
         s2 = conc.sample(x, conc.rng(2), size=8)
         assert not np.array_equal(s1, s2)
+
+
+class TestSampler:
+    NUMBERS = [
+        from_neutrix(ZERO),
+        monomial(3),
+        monomial(Fraction(-7, 4), 2),
+        from_neutrix(MICRO),
+        monomial(2) + from_neutrix(MICRO),
+    ] + [
+        monomial(Fraction(1, 3)) + from_neutrix(kind(q))
+        for q in (-2, 0, Fraction(1, 2), 3)
+        for kind in (oslash, pound)
+    ]
+
+    @pytest.mark.parametrize("index", range(len(NUMBERS)))
+    def test_draws_exactly_what_sample_draws(self, conc, index):
+        a = self.NUMBERS[index]
+        draw = conc.sampler(a)
+        rng, twin = conc.rng(41), conc.rng(41)
+        for size in (1, 7, 7, 64):
+            got = draw(rng, size)
+            want = conc.sample(a, twin, size=size)
+            assert got.dtype == want.dtype and got.shape == want.shape == (size,)
+            assert got.tobytes() == want.tobytes()
+        # Both generators stand at the same place afterwards.
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_precise_value_consumes_no_randomness(self, conc, index):
+        a = self.NUMBERS[index]
+        rng, fresh = conc.rng(42), conc.rng(42)
+        assert np.all(conc.sampler(a)(rng, 5) == conc.center(a))
+        assert rng.random() == fresh.random()
+
+    def test_full_line_refused_when_built(self, conc):
+        with pytest.raises(FullNotConcretizable):
+            conc.sampler(from_neutrix(FULL))
+        with pytest.raises(FullNotConcretizable):
+            conc.sampler(monomial(1) + from_neutrix(FULL))
 
 
 class TestOrderSoundness:

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from flexnum.errors import ContractionRequired, NumericOverflow
+from flexnum.concretize import Concretization
+from flexnum.errors import ContractionRequired, FullNotConcretizable, NumericOverflow
 from flexnum.extnum import from_neutrix, monomial
 from flexnum.recur import (
     Flag,
@@ -17,8 +21,13 @@ from flexnum.recur import (
     reference_path,
     sample_paths,
 )
-from flexnum.scale import OSLASH, ZERO, pound
+from flexnum.scale import FULL, OSLASH, ZERO, pound
 from flexnum.seq import ALT, Add, Const, Div, Mul, N, Pow, Var
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+sys.path.insert(0, os.path.abspath(PERFBENCH))
+
+import inputs  # noqa: E402
 
 one = monomial(1)
 
@@ -248,3 +257,81 @@ class TestStability:
         r1 = reference_path(spec, conc_coarse)
         r2 = reference_path(spec, conc_coarse)
         assert np.array_equal(r1, r2)
+
+
+class TestDrawOrder:
+    """Hoisted samplers draw what a per-draw ``sample`` call would, in the same order.
+
+    The reference sampler re-derives radius and center on every draw and logs
+    which number it drew for, so a run through it must match the real run bit
+    for bit, and its log pins the order of the draws: u0 first, then every
+    parameter occurrence in leaf order at every step.
+    """
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        log = []
+
+        def sampler(conc, a):
+            def draw(rng, size):
+                log.append((a, size))
+                r = conc.radius(a.neutrix)
+                base = np.full(size, conc.center(a), dtype=float)
+                return base + rng.uniform(-r, r, size=size) if r else base
+
+            return draw
+
+        def run(fn, *args, **kwargs):
+            log.clear()
+            with monkeypatch.context() as m:
+                m.setattr(Concretization, "sampler", sampler)
+                out = fn(*args, **kwargs)
+            return out, list(log)
+
+        return run
+
+    @staticmethod
+    def benchmark_spec(horizon):
+        case = inputs.numeric_case(random.Random(7), 8)
+        return RecurrenceSpec(case.stability.f, case.stability.u0, horizon, n0=3)
+
+    @pytest.mark.parametrize("compensated", (False, True))
+    def test_sample_paths(self, conc_coarse, reference, compensated):
+        u0 = monomial(Fraction(3, 4)) + from_neutrix(pound(1))
+        spec = self.benchmark_spec(12)
+        spec = RecurrenceSpec(spec.f, u0, spec.horizon, spec.n0)
+        got = sample_paths(spec, conc_coarse, count=9, seed=31, compensated=compensated)
+        want, log = reference(sample_paths, spec, conc_coarse, count=9, seed=31, compensated=compensated)
+        for p, q in zip(got, want, strict=True):
+            assert p.start == q.start
+            assert p.values.tobytes() == q.values.tobytes()
+            assert [d.tobytes() for d in p.draws] == [d.tobytes() for d in q.draws]
+        params = spec.parameters()
+        assert log == [(u0, 9)] + [(a, 9) for _ in range(spec.horizon) for a in params]
+
+    @pytest.mark.parametrize("case", ("benchmark", "benchmark-zero-noise", "drain"))
+    def test_classify_stability(self, conc_coarse, reference, case):
+        if case == "drain":
+            spec = drain_spec(a=2, horizon=30)
+            args = (spec, spec.u0, OSLASH, conc_coarse)
+        else:
+            spec = self.benchmark_spec(30)
+            noise = ZERO if case == "benchmark-zero-noise" else inputs.STABILITY_NOISE
+            args = (spec, monomial(0), noise, conc_coarse)
+        got = classify_stability(*args, samples=40, seed=5)
+        want, log = reference(classify_stability, *args, samples=40, seed=5)
+        assert got.evidence["route"] == "sampled falsification"
+        assert repr(got.to_dict()) == repr(want.to_dict())
+        params = spec.parameters()
+        # One 40-path stability run, then eight 16-path tolerance-scale runs.
+        sizes = [40] + [16] * 8
+        assert log == [(a, size) for size in sizes for _ in range(spec.horizon) for a in params]
+
+    def test_full_parameter_refused_at_every_horizon(self, conc_coarse):
+        f = Add(Mul(Const(from_neutrix(FULL)), Pow(Var("u"), 2)), Const(from_neutrix(pound(1))))
+        for horizon in (0, 1):
+            spec = RecurrenceSpec(f, one, horizon)
+            with pytest.raises(FullNotConcretizable):
+                sample_paths(spec, conc_coarse, count=2, seed=1)
+            with pytest.raises(FullNotConcretizable):
+                classify_stability(spec, monomial(0), pound(1), conc_coarse, samples=4)
