@@ -105,8 +105,9 @@ class Concretization:
         c = self.center(a)
 
         def draw(rng: np.random.Generator, size: int):
-            base = np.full(size, c, dtype=float)
-            return base + rng.uniform(-r, r, size=size) if r else base
+            if r:
+                return c + rng.uniform(-r, r, size=size)
+            return np.full(size, c, dtype=float)
 
         return draw
 

@@ -312,29 +312,16 @@ def parse_recur_rhs(text: str):
 def parse_scalar_field(text: str):
     """Parse a two-variable expression f(t, y) into a float-valued callable.
 
-    The tree is compiled once into nested closures.  Its only names are t
-    and y, so every constant in it is a precise rational.
+    The tree is compiled once by :func:`seq.compile_float`.  Its only names
+    are t and y, so every constant in it is a precise rational.
     """
     tree = _Parser(text, {"t": Var("t"), "y": Var("y")}).parse()
 
-    def number(x: ExternalNumber):
-        value = x.rep.eval(1.0)
-        return lambda t, y: value
+    def number(c: Const):
+        value = c.value.rep.eval(1.0)
+        return lambda t, y, z=None: value
 
-    def power(p, a):
-        k = float(p.exponent)
-        return lambda t, y: a(t, y) ** k
-
-    if isinstance(tree, ExternalNumber):
-        return number(tree)
-    return fold(tree, {
-        Const: lambda c: number(c.value),
-        Var: lambda v: (lambda t, y: t) if v.name == "t" else (lambda t, y: y),
-        seq.Add: lambda _, a, b: lambda t, y: a(t, y) + b(t, y),
-        seq.Mul: lambda _, a, b: lambda t, y: a(t, y) * b(t, y),
-        seq.Div: lambda _, a, b: lambda t, y: a(t, y) / b(t, y),
-        seq.Pow: power,
-    })
+    return seq.compile_float(seq.as_term(tree), number, {"t": 0, "y": 1})
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ is drawn *fresh* from its set (an internal choice function per occurrence),
 which is what makes powers of the infinitesimal neutrix come out as the
 family L*exp(-n*oo) rather than a fixed monomial.
 
+Every path (sampled, reference or perturbed) advances through one step
+loop, :func:`_run`, with one overflow rule: a step is refused unless every
+value has magnitude at most 1e300, and the refusal says whether the step
+left the reals (nan) or double range.
+
 Stability verdicts are honest about semi-decidability: only the affine
 analysis yields Proven; sampling can merely falsify, and otherwise reports
 Unknown with coverage statistics.
@@ -28,7 +33,7 @@ from .extnum import ExternalNumber, from_neutrix, monomial, sub
 from .extnum import div as ext_div
 from .extnum import lt as ext_lt
 from .scale import Neutrix
-from .seq import AltSign, Add, Const, Div, Geom, Index, Mul, Pow, Term, Var, fold
+from .seq import AltSign, Add, Const, Div, Geom, Index, Mul, Pow, Term, Var, compile_float, fold
 
 _OVERFLOW = 1e300
 # A sampled difference escapes when it leaves this multiple of the noise radius.
@@ -48,7 +53,9 @@ class RecurrenceSpec:
     n0: int = 0
 
     def parameters(self) -> List[ExternalNumber]:
-        return _compile(self.f)[1]
+        params: List[ExternalNumber] = []
+        _compile(self.f, params)
+        return params
 
 
 @dataclass(frozen=True)
@@ -60,44 +67,20 @@ class RepresentativePath:
     draws: Tuple[np.ndarray, ...]  # one (H,) array per parameter occurrence
 
 
-def _compile(f: Term) -> Tuple[Callable, List[ExternalNumber]]:
-    """Compile f into fn(n, u, draws) -> value, plus its Const leaves in fold order.
+def _compile(f: Term, params: List[ExternalNumber]) -> Callable:
+    """Compile f into fn(n, u, draws) -> value, appending its Const leaves to
+    ``params`` in fold order.
 
-    ``draws[i]`` is the value drawn for the i-th leaf returned; evaluation
-    broadcasts over numpy arrays so many paths advance in one call.
+    ``draws[i]`` is the value drawn for ``params[i]``; evaluation broadcasts
+    over numpy arrays so many paths advance in one call.
     """
-    params: List[ExternalNumber] = []
 
     def const(c):
         i = len(params)
         params.append(c.value)
-        return lambda n, u, draws: draws[i]
+        return lambda n, u, draws=None: draws[i]
 
-    def var(v):
-        if v.name != "u":
-            raise TypeError(f"unknown variable {v!r} in a recurrence")
-        return lambda n, u, draws: u
-
-    def geom(g):
-        b = float(g.base)
-        return lambda n, u, draws: b ** n
-
-    def power(p, a):
-        k = float(p.exponent)
-        return lambda n, u, draws: a(n, u, draws) ** k
-
-    fn = fold(f, {
-        Const: const,
-        Var: var,
-        Index: lambda _: lambda n, u, draws: n,
-        AltSign: lambda _: lambda n, u, draws: float((-1) ** (n % 2)),
-        Geom: geom,
-        Add: lambda _, a, b: lambda n, u, draws: a(n, u, draws) + b(n, u, draws),
-        Mul: lambda _, a, b: lambda n, u, draws: a(n, u, draws) * b(n, u, draws),
-        Div: lambda _, a, b: lambda n, u, draws: a(n, u, draws) / b(n, u, draws),
-        Pow: power,
-    })
-    return fn, params
+    return compile_float(f, const, {"u": 1})
 
 
 def _whole(node, *_):
@@ -113,10 +96,23 @@ def _summands(f: Term) -> List[Term]:
     return fold(f, _SUMMANDS)
 
 
-def _refuse_nan(u: np.ndarray, path: str, n: int) -> None:
-    """Refuse a non-finite step that holds a nan: it left the reals without overflowing."""
-    if np.any(np.isnan(u)):
-        raise NumericOverflow(f"{path} is not a number at step n={n}")
+def _run(step: Callable, values: np.ndarray, n0: int, draw: Callable, what: str) -> None:
+    """Fill rows 1.. of ``values`` from row 0: row i+1 is step(n, row i, draw(i))
+    with n = n0 + i.
+
+    A step is refused unless every value has magnitude at most ``_OVERFLOW``,
+    a test that inf and nan fail too; a step holding a nan left the reals
+    rather than double range, and says so.
+    """
+    with np.errstate(all="ignore"):
+        for i in range(len(values) - 1):
+            n = n0 + i
+            nxt = step(n, values[i], draw(i))
+            if not np.all(np.abs(nxt) <= _OVERFLOW):
+                if np.any(np.isnan(nxt)):
+                    raise NumericOverflow(f"{what} is not a number at step n={n}")
+                raise NumericOverflow(f"{what} left double range at step n={n}")
+            values[i + 1] = nxt
 
 
 def sample_paths(
@@ -140,20 +136,16 @@ def sample_paths(
     values = np.empty((h + 1, count), dtype=float)
     values[0] = conc.sample(spec.u0, rng, size=count)
 
+    params: List[ExternalNumber] = []
     if compensated:
-        compiled = [_compile(t) for t in _summands(spec.f)]
-        # Each summand reads its own slice of the draws, in leaf order.
-        params: List[ExternalNumber] = []
-        spans = []
-        for _, leaves in compiled:
-            spans.append((len(params), len(params) + len(leaves)))
-            params += leaves
+        # The summands share one parameter list, so each reads its own draws.
+        summands = [_compile(t, params) for t in _summands(spec.f)]
 
         def step(n, u, draws):
             total = np.zeros_like(u)
             err = np.zeros_like(u)
-            for (fn, _), (lo, hi) in zip(compiled, spans):
-                x = fn(n, u, draws[lo:hi])
+            for fn in summands:
+                x = fn(n, u, draws)
                 # Neumaier: accumulate the rounding of each addition.
                 t = total + x
                 big = np.where(np.abs(total) >= np.abs(x), total, x)
@@ -163,23 +155,20 @@ def sample_paths(
             return total + err
 
     else:
-        step, params = _compile(spec.f)
+        step = _compile(spec.f, params)
 
     draw_log = [np.empty((h, count), dtype=float) for _ in params]
     samplers = [conc.sampler(p) for p in params]
-    with np.errstate(all="ignore"):
-        for i in range(h):
-            n = spec.n0 + i
-            # Fresh draws per step and per occurrence; precise parameters
-            # sample to their exact value without consuming randomness.
-            draws = [s(rng, count) for s in samplers]
-            for j, d in enumerate(draws):
-                draw_log[j][i] = d
-            nxt = step(n, values[i], draws)
-            if not np.all(np.isfinite(nxt)) or np.any(np.abs(nxt) > _OVERFLOW):
-                _refuse_nan(nxt, "path", n)
-                raise NumericOverflow(f"path left double range at step n={n}")
-            values[i + 1] = nxt
+
+    def draw(i):
+        # Fresh draws per step and per occurrence; precise parameters
+        # sample to their exact value without consuming randomness.
+        draws = [s(rng, count) for s in samplers]
+        for log, d in zip(draw_log, draws):
+            log[i] = d
+        return draws
+
+    _run(step, values, spec.n0, draw, "path")
 
     return [
         RepresentativePath(
@@ -252,12 +241,7 @@ class AffineCertificate:
         return (t0_abs + geo) * self.q ** np.asarray(n, dtype=float) + geo
 
 
-def affine_closed_form(
-    alpha: ExternalNumber,
-    noise: Neutrix,
-    u0: ExternalNumber,
-    conc: Concretization,
-) -> AffineCertificate:
+def affine_closed_form(alpha: ExternalNumber, noise: Neutrix, conc: Concretization) -> AffineCertificate:
     """Certificate for the contraction case; ContractionRequired otherwise."""
     if noise.is_full:
         raise ValueError("full-line noise is out of scope")
@@ -365,19 +349,13 @@ def _json_value(v):
 
 def reference_path(spec: RecurrenceSpec, conc: Concretization) -> np.ndarray:
     """The deterministic center path: every draw replaced by its center value."""
-    fn, params = _compile(spec.f)
+    params: List[ExternalNumber] = []
+    fn = _compile(spec.f, params)
     centers = [np.array([conc.center(p)]) for p in params]
-    vals = np.empty(spec.horizon + 1)
-    vals[0] = conc.center(spec.u0)
-    u = np.array([vals[0]])
-    with np.errstate(all="ignore"):
-        for i in range(spec.horizon):
-            u = fn(spec.n0 + i, u, centers)
-            if not np.all(np.isfinite(u)):
-                _refuse_nan(u, "reference path", spec.n0 + i)
-                raise NumericOverflow("reference path overflowed")
-            vals[i + 1] = u[0]
-    return vals
+    values = np.empty((spec.horizon + 1, 1))
+    values[0] = conc.center(spec.u0)
+    _run(fn, values, spec.n0, lambda i: centers, "reference path")
+    return values[:, 0]
 
 
 def classify_stability(
@@ -411,7 +389,7 @@ def _classify_affine(
     one = monomial(1)
     evidence: Dict[str, object] = {"route": "affine analysis", "alpha": alpha, "f_noise": fnoise}
     if ext_lt(abs(alpha), one):
-        cert = affine_closed_form(alpha, fnoise, spec.u0, conc)
+        cert = affine_closed_form(alpha, fnoise, conc)
         evidence.update(q=cert.q, c=cert.c, limit_neutrix=cert.limit_neutrix)
         # Differences obey d_{n+1} = a_n d_n + (b_n - b'_n) with b - b' in the
         # f-noise; the decay bound keeps them inside a limited multiple of
@@ -460,33 +438,27 @@ def _classify_sampled(
     ref = reference_path(
         RecurrenceSpec(spec.f, reference, spec.horizon, spec.n0), conc
     )
-    r_noise = conc.radius(noise) if not noise.is_zero else 0.0
+    r_noise = conc.radius(noise)
     evidence: Dict[str, object] = {
         "route": "sampled falsification",
         "samples": samples,
         "horizon": spec.horizon,
     }
     rng = np.random.default_rng([conc.seed, seed, 7])
-    fn, params = _compile(spec.f)
+    params: List[ExternalNumber] = []
+    fn = _compile(spec.f, params)
     samplers = [conc.sampler(p) for p in params]
 
     def run_difference(d0: np.ndarray) -> np.ndarray:
-        u = ref[0] + d0
-        out = np.empty((spec.horizon + 1, d0.size))
-        out[0] = u - ref[0]
-        with np.errstate(all="ignore"):
-            for i in range(spec.horizon):
-                draws = [s(rng, d0.size) for s in samplers]
-                u = fn(spec.n0 + i, u, draws)
-                if not np.all(np.isfinite(u)):
-                    _refuse_nan(u, "perturbed path", spec.n0 + i)
-                    raise NumericOverflow("perturbed path overflowed")
-                out[i + 1] = u - ref[i + 1]
-        return out
+        values = np.empty((spec.horizon + 1, d0.size))
+        values[0] = ref[0] + d0
+        _run(fn, values, spec.n0, lambda i: [s(rng, d0.size) for s in samplers], "perturbed path")
+        values -= ref[:, None]
+        return values
 
     # Stability: perturbations inside the noise interval must stay inside an
     # appreciable multiple of it.
-    within = conc.sample_neutrix(noise, rng, size=samples) if not noise.is_zero else np.zeros(samples)
+    within = conc.sample_neutrix(noise, rng, size=samples)
     diffs = run_difference(within)
     bound = 0.0 if noise.is_zero else max(r_noise, 1e-300) * _ESCAPE_FACTOR
     escape = np.abs(diffs).max(axis=0) > bound

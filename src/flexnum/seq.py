@@ -10,6 +10,9 @@ the alternating sign and external-number coefficients:
 Every walk over a term is a rule table handed to :func:`fold`.  A ``Var``
 leaf names a variable outside the grammar (the previous value of a
 recurrence, the arguments of a field); only compiled folds give it a value.
+There are two compiled folds: ``_EVAL`` evaluates exactly in external
+arithmetic, and :func:`compile_float` in doubles, for recurrences and
+slow-curve fields alike.
 
 Convergence of arbitrary external sequences is undecidable; on this fragment
 every term normalizes to a finite sum of
@@ -374,6 +377,42 @@ def eval_at(u: Term, n: int) -> ExternalNumber:
     return fold(u, _EVAL)(n)
 
 
+def compile_float(u: Term, const: Callable, slots: Mapping[str, int]) -> Callable:
+    """Compile u into ``fn(x, y, z=None)`` over doubles or numpy arrays alike.
+
+    ``Index`` reads x and a ``Var`` reads x or y as ``slots`` maps its name.
+    ``const(node)`` builds the closure of each ``Const`` leaf, in fold order;
+    z is passed through untouched for those closures to read.  Only Python
+    operators are applied, so this module still never imports numpy.
+    """
+
+    def var(v):
+        slot = slots.get(v.name)
+        if slot is None:
+            raise TypeError(f"unknown variable {v!r}")
+        return (lambda x, y, z=None: x) if slot == 0 else (lambda x, y, z=None: y)
+
+    def geom(g):
+        b = float(g.base)
+        return lambda x, y, z=None: b ** x
+
+    def power(p, a):
+        k = float(p.exponent)
+        return lambda x, y, z=None: a(x, y, z) ** k
+
+    return fold(u, {
+        Const: const,
+        Var: var,
+        Index: lambda _: lambda x, y, z=None: x,
+        AltSign: lambda _: lambda x, y, z=None: float((-1) ** (x % 2)),
+        Geom: geom,
+        Add: lambda _, a, b: lambda x, y, z=None: a(x, y, z) + b(x, y, z),
+        Mul: lambda _, a, b: lambda x, y, z=None: a(x, y, z) * b(x, y, z),
+        Div: lambda _, a, b: lambda x, y, z=None: a(x, y, z) / b(x, y, z),
+        Pow: power,
+    })
+
+
 # ---------------------------------------------------------------------------
 # Normal form
 # ---------------------------------------------------------------------------
@@ -460,7 +499,6 @@ def _factor_text(r: Fraction, b: Fraction, alt: bool) -> list:
 
 
 def _point_text(c: Fraction, q: Fraction, r: Fraction, b: Fraction, alt: bool) -> str:
-    bits = []
     mono = monomial(c, q)
     head = str(mono.rep)
     factors = _factor_text(r, b, alt)
@@ -528,7 +566,7 @@ def _form(
     for C, q, r, b in tails:
         if _growth(r, b) >= 0:
             raise Unnormalizable("division remainder does not vanish")
-        if any(_point_in_noise(q, r, b, key, nx) for key, nx in noise_items):
+        if _point_in_noise(q, r, b, noise_items):
             trimmed = True
         else:
             kept_tails.append((abs(C), q, r, b))
@@ -600,32 +638,32 @@ def _dominant_point(nf: NormalForm) -> Optional[Tuple[PKey, Fraction]]:
     return max(nf.point, key=lambda kv: _size(*kv[0][:3]))
 
 
-def _point_in_noise(q: Fraction, r: Fraction, b: Fraction, key: NKey, nx: Neutrix) -> bool:
-    """Whether c*e^q*n^r*b^n eventually lies inside nx*n^rN*b^nN (global regime)."""
-    rN, bN = key
-    if nx.is_full:
-        return True
-    if nx.is_zero:
-        return False
-    if (b, r) != (bN, rN):
-        return (b, r) < (bN, rN)
-    return nx.absorbs(q)
+def _point_in_noise(q: Fraction, r: Fraction, b: Fraction, noise: Tuple[Tuple[NKey, Neutrix], ...]) -> bool:
+    """Whether c*e^q*n^r*b^n eventually lies inside some noise monomial
+    nx*n^rN*b^nN of ``noise`` (global regime)."""
+    for (rN, bN), nx in noise:
+        if nx.is_full:
+            return True
+        if nx.is_zero:
+            continue
+        if (b, r) < (bN, rN) or ((b, r) == (bN, rN) and nx.absorbs(q)):
+            return True
+    return False
 
 
-def _noise_in_noise(key1: NKey, n1: Neutrix, key2: NKey, n2: Neutrix) -> bool:
-    """Whether n1*n^r1*b1^n is eventually a subset of n2*n^r2*b2^n."""
-    r1, b1 = key1
-    r2, b2 = key2
-    if n2.is_full:
-        return True
-    if n1.is_zero:
-        return True
-    if n2.is_zero or n1.is_full:
-        # A nontrivial group never shrinks into {0}: scalar factors are absorbed.
-        return False
-    if (b1, r1) != (b2, r2):
-        return (b1, r1) < (b2, r2)
-    return n1 <= n2
+def _noise_in_noise(key: NKey, n1: Neutrix, noise: Tuple[Tuple[NKey, Neutrix], ...]) -> bool:
+    """Whether n1*n^r1*b1^n is eventually a subset of some noise monomial
+    n2*n^r2*b2^n of ``noise``."""
+    r1, b1 = key
+    for (r2, b2), n2 in noise:
+        if n2.is_full or n1.is_zero:
+            return True
+        if n2.is_zero or n1.is_full:
+            # A nontrivial group never shrinks into {0}: scalar factors are absorbed.
+            continue
+        if (b1, r1) < (b2, r2) or ((b1, r1) == (b2, r2) and n1 <= n2):
+            return True
+    return False
 
 
 def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
@@ -648,9 +686,8 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     for key, c in den.point:
         if key != key0 and not size0 > _size(*key[:3]):
             raise Unnormalizable("denominator is not eventually zeroless")
-    for key, nx in den.noise:
-        if _point_in_noise(q0, r0, b0, key, nx):
-            raise Unnormalizable("denominator noise is not dominated: not eventually zeroless")
+    if _point_in_noise(q0, r0, b0, den.noise):
+        raise Unnormalizable("denominator noise is not dominated: not eventually zeroless")
 
     inv_c0 = _ONE / c0
 
@@ -686,18 +723,12 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     power = basef
     w_neg = _nf_neg(wf)
     dropped = False
-
-    def inside(q, r, b):  # in the noise of the result so far
-        return any(_point_in_noise(q, r, b, key, nx) for key, nx in result.noise)
-
     for _ in range(_MAX_DIV_ROUNDS):
         power = _nf_mul(power, w_neg)
-        point = [(k, c) for k, c in power.point if not inside(*k[:3])]
-        noise = [
-            (k, nx) for k, nx in power.noise
-            if not any(_noise_in_noise(k, nx, k2, nx2) for k2, nx2 in result.noise)
-        ]
-        tails = [t for t in power.tails if not inside(*t[1:])]
+        # Keep what is not yet inside the noise of the result so far.
+        point = [(k, c) for k, c in power.point if not _point_in_noise(*k[:3], result.noise)]
+        noise = [(k, nx) for k, nx in power.noise if not _noise_in_noise(k, nx, result.noise)]
+        tails = [t for t in power.tails if not _point_in_noise(*t[1:], result.noise)]
         if len(point) + len(noise) + len(tails) < len(power.point) + len(power.noise) + len(power.tails):
             dropped = True
         if not (point or noise or tails):
@@ -993,15 +1024,15 @@ def eventually_subset(u: Term, v: Term) -> bool:
 
 def _subset(nu: NormalForm, nv: NormalForm) -> bool:
     noise_v = nv.noise
-    for (r, b), nx in nu.noise:
-        if not any(_noise_in_noise((r, b), nx, k2, n2) for k2, n2 in noise_v):
+    for key, nx in nu.noise:
+        if not _noise_in_noise(key, nx, noise_v):
             return False
     diff = _nf_add(nu, _nf_neg(nv))
-    for (q, r, b, alt), c in diff.point:
-        if not any(_point_in_noise(q, r, b, k2, n2) for k2, n2 in noise_v):
+    for key, c in diff.point:
+        if not _point_in_noise(*key[:3], noise_v):
             return False
     for t in list(nu.tails) + list(nv.tails):
-        if not any(_point_in_noise(*t[1:], k2, n2) for k2, n2 in noise_v):
+        if not _point_in_noise(*t[1:], noise_v):
             return False
     return True
 
@@ -1009,13 +1040,9 @@ def _subset(nu: NormalForm, nv: NormalForm) -> bool:
 def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
     """True/False when the sign of d_n is eventually decided; None when the
     point part is eventually swallowed by d's own noise."""
-    surviving = [
-        (key, c)
-        for key, c in d.point
-        if not any(_point_in_noise(*key[:3], k2, n2) for k2, n2 in d.noise)
-    ]
+    surviving = [(key, c) for key, c in d.point if not _point_in_noise(*key[:3], d.noise)]
     if not surviving:
-        tails_ok = all(any(_point_in_noise(*t[1:], k2, n2) for k2, n2 in d.noise) for t in d.tails)
+        tails_ok = all(_point_in_noise(*t[1:], d.noise) for t in d.tails)
         return None if tails_ok else False
     # Group by magnitude class; an alternating and a constant member of the
     # same class combine to c +- |a|.
@@ -1026,7 +1053,7 @@ def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
     top = _size(*best)
     if not all(m == best or top > _size(*m) for m in classes):
         return False
-    if any(_point_in_noise(*best, key, nx) for key, nx in d.noise):
+    if _point_in_noise(*best, d.noise):
         return False
     if not all(top > _size(*t[1:]) for t in d.tails):
         return False

@@ -206,6 +206,8 @@ assert loaded == [], f"import flexnum loaded {loaded}"
 from flexnum.cli import main
 for argv in ARGVS:
     assert main(argv) == 0, argv
+from flexnum import dsl
+assert dsl.parse_scalar_field("-y + t*y/2")(1.0, 4.0) == -2.0
 assert "numpy" not in sys.modules, "a symbolic command imported numpy"
 """
 

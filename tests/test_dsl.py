@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,23 @@ from flexnum.errors import ParseError
 from flexnum.extnum import from_neutrix, monomial
 from flexnum.scale import FULL, MICRO, OSLASH, pound
 from flexnum.seq import ALT, Const, Div, Geom, Index, Var
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+sys.path.insert(0, os.path.abspath(PERFBENCH))
+
+import inputs  # noqa: E402
+
+# The benchmark's slow-curve fields at a = 5/4, written out by hand in the
+# parser's operation order: a negation is a product with -1, which IEEE
+# arithmetic rounds exactly like a sign flip.
+HAND_FIELDS = (
+    lambda t, y: -(1.25 * y) - y ** 3,
+    lambda t, y: -((1.25 + t) * y),
+    lambda t, y: -((1.25 * y) / (1 + y ** 2)),
+    lambda t, y: -(2.5 * y) + y ** 2 / 4,
+    lambda t, y: -(1.25 * y) - t * y ** 3,
+    lambda t, y: -((2.5 + t) * y) - y ** 3 / 3,
+)
 
 
 class TestParse:
@@ -52,6 +71,13 @@ class TestParse:
         leaves = [t.left.left, t.left.right, t.right]
         assert leaves == [Var("u")] * 3
         assert {hash(leaf) for leaf in leaves} == {hash(Var("u"))}
+
+    @pytest.mark.parametrize("i", range(len(inputs.FIELDS)))
+    def test_benchmark_fields_match_hand_written(self, i):
+        f = dsl.parse_scalar_field(inputs.FIELDS[i].format(a=Fraction(5, 4)))
+        for t in (0.0, 0.5, 1.75, 3.0):
+            for y in (-2.5, -1.0, -0.3, -0.0, 0.0, 0.1, 0.7, 1.5, 4.0):
+                assert f(t, y).hex() == HAND_FIELDS[i](t, y).hex(), (t, y)
 
     def test_scalar_field_rejects_neutrices(self):
         with pytest.raises(ParseError):

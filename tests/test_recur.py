@@ -107,8 +107,25 @@ class TestPaths:
         spec = affine_spec(monomial(10 ** 150), ZERO, one, horizon=4)
         with pytest.raises(NumericOverflow, match=r"^path left double range at step n=\d+$"):
             sample_paths(spec, conc_coarse, count=2, seed=1)
-        with pytest.raises(NumericOverflow, match=r"^reference path overflowed$"):
+        with pytest.raises(NumericOverflow, match=r"^reference path left double range at step n=1$"):
             reference_path(affine_spec(monomial(10 ** 200), ZERO, one, horizon=4), conc_coarse)
+
+    @pytest.mark.parametrize("what", ("path", "reference path", "perturbed path"))
+    def test_every_run_refuses_overflow_alike(self, conc_coarse, what):
+        # Each run stays below 1e300 at step n=0 and leaves double range at n=1.
+        affine = affine_spec(monomial(10 ** 200), ZERO, one, horizon=4)
+        # The reference 0 stays at 0; perturbations inside o square up.
+        square = Mul(Const(monomial(10 ** 200)), Pow(Var("u"), Fraction(2)))
+        zero = monomial(0)
+        runs = {
+            "path": lambda: sample_paths(affine, conc_coarse, count=3, seed=1),
+            "reference path": lambda: reference_path(affine, conc_coarse),
+            "perturbed path": lambda: classify_stability(
+                RecurrenceSpec(square, zero, horizon=5), zero, OSLASH, conc_coarse, samples=10
+            ),
+        }
+        with pytest.raises(NumericOverflow, match=rf"^{what} left double range at step n=1$"):
+            runs[what]()
 
     def test_nan_path_is_not_an_overflow(self, conc_coarse):
         # The square root of a negative value is nan, not out of range.
@@ -138,19 +155,19 @@ class TestPaths:
 class TestAffine:
     def test_certificate(self, conc_coarse):
         alpha = monomial(Fraction(1, 2)) + from_neutrix(OSLASH)
-        cert = affine_closed_form(alpha, pound(1), one, conc_coarse)
+        cert = affine_closed_form(alpha, pound(1), conc_coarse)
         assert cert.limit_neutrix == pound(1)
         assert 0.5 < cert.q < 0.54
         assert cert.c == conc_coarse.radius(pound(1))
 
     def test_contraction_required(self, conc_coarse):
         with pytest.raises(ContractionRequired):
-            affine_closed_form(monomial(2), pound(1), one, conc_coarse)
+            affine_closed_form(monomial(2), pound(1), conc_coarse)
         with pytest.raises(ContractionRequired):
-            affine_closed_form(one + from_neutrix(OSLASH), pound(1), one, conc_coarse)
+            affine_closed_form(one + from_neutrix(OSLASH), pound(1), conc_coarse)
 
     def test_oslash_alpha_allowed(self, conc_coarse):
-        cert = affine_closed_form(from_neutrix(OSLASH), ZERO, one, conc_coarse)
+        cert = affine_closed_form(from_neutrix(OSLASH), ZERO, conc_coarse)
         assert cert.limit_neutrix == ZERO
         assert cert.c == 0.0
 
