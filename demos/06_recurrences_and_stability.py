@@ -40,8 +40,7 @@ print("== affine contraction u_{n+1} = (1/2 + o) u_n + e*L ==")
 alpha = monomial(Fraction(1, 2)) + from_neutrix(OSLASH)
 spec = affine_spec(alpha, pound(1), monomial(1), horizon=60)
 paths = sample_paths(spec, conc, count=2000, seed=2)
-values = np.stack([p.values for p in paths], axis=1)
-print(f"  2000 paths, horizon 60; final spread max|t_60| = {np.abs(values[-1]).max():.3e},"
+print(f"  2000 paths, horizon 60; final spread max|t_60| = {np.abs(paths.values[-1]).max():.3e},"
       f" a limited multiple of the e*L radius {conc.radius(pound(1)):.3e}"
       " (groups absorb limited factors, so the paths sit inside e*L)")
 verdict = classify_stability(spec, monomial(0), pound(1), conc)

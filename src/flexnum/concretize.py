@@ -15,8 +15,9 @@ containment chain is impossible, so oracle assertions that depend on strict
 separation must be gated on :func:`separated`; containment checks are
 inclusive and need no gap.
 
-:meth:`Concretization.sampler` fixes a number's interval once and returns a
-draw function that draws exactly what :meth:`Concretization.sample` draws.
+:meth:`Concretization.drawer` fixes the intervals of a parameter list once and
+draws all steps of a run as one block; :meth:`Concretization.sample` draws
+one number through it.
 
 Environment overrides: FLEX_EPS0, FLEX_DELTA, FLEX_MICRO_EXP, FLEX_SEED.
 """
@@ -98,22 +99,35 @@ class Concretization:
         slack = 8.0 * np.finfo(float).eps * max(abs(c), abs(x))
         return bool(abs(x - c) <= self.radius(a.neutrix) + slack)
 
-    def sampler(self, a: ExternalNumber):
-        """``draw(rng, size)``: what ``sample(a, rng, size)`` draws, with a's
-        interval fixed once; a precise a consumes no randomness."""
-        r = self.radius(a.neutrix)
-        c = self.center(a)
+    def drawer(self, params: list[ExternalNumber]):
+        """``(centers, noisy, draw)`` of ``params``, each interval fixed once;
+        a full-line parameter is refused.  Only the ``noisy`` ones, of nonzero
+        radius, consume randomness: ``draw(rng, steps, size)`` gives (steps,
+        len(noisy), size) draws, bit for bit one ``c + rng.uniform(-r, r,
+        size)`` per step and noisy parameter in turn."""
+        centers = [self.center(a) for a in params]
+        radii = [self.radius(a.neutrix) for a in params]
+        noisy = [j for j, r in enumerate(radii) if r]
+        # Python floats: an unbounded span is inf here, refused when drawn.
+        cols = np.array([(radii[j] - -radii[j], -radii[j], centers[j]) for j in noisy], dtype=float)
+        span, low, center = cols.reshape(-1, 3).T[..., None]
 
-        def draw(rng: np.random.Generator, size: int):
-            if r:
-                return c + rng.uniform(-r, r, size=size)
-            return np.full(size, c, dtype=float)
+        def draw(rng: np.random.Generator, steps: int, size: int) -> np.ndarray:
+            if steps and not np.isfinite(span).all():
+                raise OverflowError("high - low range exceeds valid bounds")
+            # uniform computes low + (high - low) * U from the same U.
+            block = rng.random(size=(steps, len(noisy), size))
+            block *= span
+            block += low
+            block += center
+            return block
 
-        return draw
+        return centers, noisy, draw
 
     def sample(self, a: ExternalNumber, rng: np.random.Generator, size: int):
         """Uniform draws from the concretized interval; always satisfies contains."""
-        return self.sampler(a)(rng, size)
+        centers, noisy, draw = self.drawer([a])
+        return draw(rng, 1, size)[0, 0] if noisy else np.full(size, centers[0], dtype=float)
 
     def sample_neutrix(self, n: Neutrix, rng: np.random.Generator, size=None):
         r = self.radius(n)

@@ -10,7 +10,8 @@ family L*exp(-n*oo) rather than a fixed monomial.
 Every path (sampled, reference or perturbed) advances through one step
 loop, :func:`_run`, with one overflow rule: a step is refused unless every
 value has magnitude at most 1e300, and the refusal says whether the step
-left the reals (nan) or double range.
+left the reals (nan) or double range.  A run draws all its steps as one
+block; the stability check batches its nine runs as columns of one run.
 
 Stability verdicts are honest about semi-decidability: only the affine
 analysis yields Proven; sampling can merely falsify, and otherwise reports
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,23 +97,49 @@ def _summands(f: Term) -> List[Term]:
     return fold(f, _SUMMANDS)
 
 
-def _run(step: Callable, values: np.ndarray, n0: int, draw: Callable, what: str) -> None:
-    """Fill rows 1.. of ``values`` from row 0: row i+1 is step(n, row i, draw(i))
-    with n = n0 + i.
+def _run(step: Callable, values: np.ndarray, n0: int, centers: List[float], noisy: List[int],
+         blocks: Callable, what: str, groups: Sequence[slice] = (slice(None),)) -> None:
+    """Fill rows 1.. of ``values`` from row 0: row i+1 is step(n, row i, draws)
+    with n = n0 + i; precise parameters draw their centers, and parameter
+    ``noisy[k]`` draws row k of ``blocks(i)``.
 
     A step is refused unless every value has magnitude at most ``_OVERFLOW``,
     a test that inf and nan fail too; a step holding a nan left the reals
-    rather than double range, and says so.
+    rather than double range, and says so.  ``groups`` are runs batched as
+    columns, in the order they would go in turn: the first group with a bad
+    step is refused, at its first bad step.
     """
+    draws = [np.full(values.shape[1], c, dtype=float) for c in centers]
     with np.errstate(all="ignore"):
         for i in range(len(values) - 1):
-            n = n0 + i
-            nxt = step(n, values[i], draw(i))
-            if not np.all(np.abs(nxt) <= _OVERFLOW):
-                if np.any(np.isnan(nxt)):
-                    raise NumericOverflow(f"{what} is not a number at step n={n}")
-                raise NumericOverflow(f"{what} left double range at step n={n}")
-            values[i + 1] = nxt
+            for j, row in zip(noisy, blocks(i)):
+                draws[j] = row
+            values[i + 1] = step(n0 + i, values[i], draws)
+            if not (np.abs(values[i + 1, groups[0]]) <= _OVERFLOW).all():
+                break  # the first group is named here; the rows past it stay unset
+        ok = np.abs(values[1:]) <= _OVERFLOW
+    for cols in groups:
+        bad = ~ok[:, cols].all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            why = "is not a number" if np.isnan(values[i + 1, cols]).any() else "left double range"
+            raise NumericOverflow(f"{what} {why} at step n={n0 + i}")
+
+
+@dataclass(frozen=True, eq=False)
+class PathSet:
+    """Paths as columns: ``values`` (H+1, count) and one (H, count) draw array
+    per parameter occurrence.  Indexing and iteration give path views."""
+
+    start: int
+    values: np.ndarray
+    draws: Tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+    def __getitem__(self, j: int) -> RepresentativePath:
+        return RepresentativePath(self.start, self.values[:, j], tuple(d[:, j] for d in self.draws))
 
 
 def sample_paths(
@@ -121,7 +148,7 @@ def sample_paths(
     count: int,
     seed: int,
     compensated: bool = False,
-) -> List[RepresentativePath]:
+) -> PathSet:
     """Sample ``count`` representative paths, reproducibly for a given seed.
 
     Each path draws u0 and then, at every step, one representative per
@@ -157,27 +184,13 @@ def sample_paths(
     else:
         step = _compile(spec.f, params)
 
-    draw_log = [np.empty((h, count), dtype=float) for _ in params]
-    samplers = [conc.sampler(p) for p in params]
-
-    def draw(i):
-        # Fresh draws per step and per occurrence; precise parameters
-        # sample to their exact value without consuming randomness.
-        draws = [s(rng, count) for s in samplers]
-        for log, d in zip(draw_log, draws):
-            log[i] = d
-        return draws
-
-    _run(step, values, spec.n0, draw, "path")
-
-    return [
-        RepresentativePath(
-            spec.n0,
-            values[:, j].copy(),
-            tuple(d[:, j].copy() for d in draw_log),
-        )
-        for j in range(count)
-    ]
+    # Fresh draws per step and per occurrence, all steps in one block.
+    centers, noisy, draw = conc.drawer(params)
+    block = draw(rng, h, count)
+    _run(step, values, spec.n0, centers, noisy, block.__getitem__, "path")
+    draws = [block[:, noisy.index(j)] if j in noisy else np.broadcast_to(c, (h, count))
+             for j, c in enumerate(centers)]
+    return PathSet(spec.n0, values, tuple(draws))
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +364,9 @@ def reference_path(spec: RecurrenceSpec, conc: Concretization) -> np.ndarray:
     """The deterministic center path: every draw replaced by its center value."""
     params: List[ExternalNumber] = []
     fn = _compile(spec.f, params)
-    centers = [np.array([conc.center(p)]) for p in params]
     values = np.empty((spec.horizon + 1, 1))
     values[0] = conc.center(spec.u0)
-    _run(fn, values, spec.n0, lambda i: centers, "reference path")
+    _run(fn, values, spec.n0, [conc.center(p) for p in params], [], lambda i: (), "reference path")
     return values[:, 0]
 
 
@@ -447,43 +459,36 @@ def _classify_sampled(
     rng = np.random.default_rng([conc.seed, seed, 7])
     params: List[ExternalNumber] = []
     fn = _compile(spec.f, params)
-    samplers = [conc.sampler(p) for p in params]
-
-    def run_difference(d0: np.ndarray) -> np.ndarray:
-        values = np.empty((spec.horizon + 1, d0.size))
-        values[0] = ref[0] + d0
-        _run(fn, values, spec.n0, lambda i: [s(rng, d0.size) for s in samplers], "perturbed path")
-        values -= ref[:, None]
-        return values
+    centers, noisy, draw = conc.drawer(params)
+    h, k = spec.horizon, len(noisy)
+    # The stability run's columns, then 16 per tolerance scale, drawn in turn;
+    # the scales' eight (h, k, 16) blocks are one stream, held as (h, k, 128).
+    within = conc.sample_neutrix(noise, rng, size=samples)
+    grid = np.geomspace(max(r_noise * 4.0, conc.eps0 ** 12), 0.5, num=8)
+    stab = draw(rng, h, samples)
+    scales = draw(rng, 8 * h, 16).reshape(8, h, k, 16).transpose(1, 2, 0, 3).reshape(h, k, 128)
+    groups = [slice(0, samples)] + [slice(samples + 16 * g, samples + 16 * g + 16) for g in range(8)]
+    diffs = np.empty((h + 1, samples + 128))
+    diffs[0] = ref[0] + np.concatenate([within] + [np.full(16, s * 0.5) for s in grid])
+    _run(fn, diffs, spec.n0, centers, noisy, lambda i: np.concatenate((stab[i], scales[i]), axis=1),
+         "perturbed path", groups)
+    diffs -= ref[:, None]
 
     # Stability: perturbations inside the noise interval must stay inside an
     # appreciable multiple of it.
-    within = conc.sample_neutrix(noise, rng, size=samples)
-    diffs = run_difference(within)
     bound = 0.0 if noise.is_zero else max(r_noise, 1e-300) * _ESCAPE_FACTOR
-    escape = np.abs(diffs).max(axis=0) > bound
-    stable = Flag.FALSIFIED if bool(escape.any()) else Flag.UNKNOWN
-    if stable is Flag.FALSIFIED:
-        j = int(np.argmax(escape))
-        evidence["stability_counterexample_d0"] = float(within[j])
+    escape = np.abs(diffs[:, :samples]).max(axis=0) > bound
+    stable = Flag.FALSIFIED if escape.any() else Flag.UNKNOWN
+    if escape.any():
+        evidence["stability_counterexample_d0"] = float(within[int(np.argmax(escape))])
 
     # Asymptotic stability: for every admissible tolerance scale above the
     # noise, some sampled perturbation below it must settle into the noise
     # interval; if at every scale the difference fails to enter and remain,
     # the property is falsified.
-    lo = max(r_noise * 4.0, conc.eps0 ** 12)
-    grid = np.geomspace(lo, 0.5, num=8)
-    tail = max(1, spec.horizon // 4)
-    all_scales_fail = True
-    per_scale = []
-    for s in grid:
-        d0 = np.full(16, s * 0.5)
-        d = run_difference(d0)
-        tail_ok = (np.abs(d[-tail:]) <= max(r_noise, 1e-300)).all(axis=0)
-        enters = tail_ok.any()
-        per_scale.append((float(s), bool(enters)))
-        if enters:
-            all_scales_fail = False
-    evidence["tolerance_scales"] = per_scale
-    asym = Flag.FALSIFIED if all_scales_fail else Flag.UNKNOWN
+    tail = max(1, h // 4)
+    tail_ok = (np.abs(diffs[-tail:, samples:]) <= max(r_noise, 1e-300)).all(axis=0)
+    enters = tail_ok.reshape(8, 16).any(axis=1)
+    evidence["tolerance_scales"] = [(float(s), bool(e)) for s, e in zip(grid, enters)]
+    asym = Flag.UNKNOWN if enters.any() else Flag.FALSIFIED
     return StabilityVerdict(stable, asym, asym, evidence)

@@ -358,9 +358,9 @@ def test_criterion_10_recurrence_stability():
     alpha = monomial(Fraction(1, 2)) + from_neutrix(OSLASH)
     spec = affine_spec(alpha, pound(1), one, horizon=60)
     paths = sample_paths(spec, conc, count=10_000, seed=7)
-    values = np.stack([p.values for p in paths], axis=1)
-    qs = np.stack([np.abs(p.draws[0]).max(axis=0) for p in paths])
-    cs = np.stack([np.abs(p.draws[1]).max(axis=0) for p in paths])
+    values = paths.values
+    qs = np.abs(paths.draws[0]).max(axis=0)
+    cs = np.abs(paths.draws[1]).max(axis=0)
     geo = cs / (1.0 - qs)
     steps = np.arange(values.shape[0])[:, None]
     envelope = (np.abs(values[0]) + geo)[None, :] * qs[None, :] ** steps + geo[None, :]

@@ -71,6 +71,9 @@ class TestSampling:
 
 
 class TestSampler:
+    """The block drawer against per-step ``sample`` calls and the per-draw
+    formula ``c + rng.uniform(-r, r, size)`` that it stands for."""
+
     NUMBERS = [
         from_neutrix(ZERO),
         monomial(3),
@@ -82,32 +85,79 @@ class TestSampler:
         for q in (-2, 0, Fraction(1, 2), 3)
         for kind in (oslash, pound)
     ]
+    PRECISE = NUMBERS[:3]
+
+    @staticmethod
+    def per_draw(conc, a, rng, size):
+        r = conc.radius(a.neutrix)
+        return conc.center(a) + rng.uniform(-r, r, size=size) if r else np.full(size, conc.center(a))
 
     @pytest.mark.parametrize("index", range(len(NUMBERS)))
     def test_draws_exactly_what_sample_draws(self, conc, index):
         a = self.NUMBERS[index]
-        draw = conc.sampler(a)
-        rng, twin = conc.rng(41), conc.rng(41)
-        for size in (1, 7, 7, 64):
-            got = draw(rng, size)
-            want = conc.sample(a, twin, size=size)
-            assert got.dtype == want.dtype and got.shape == want.shape == (size,)
-            assert got.tobytes() == want.tobytes()
-        # Both generators stand at the same place afterwards.
-        assert rng.random() == twin.random()
+        centers, noisy, draw = conc.drawer([a])
+        assert centers == [conc.center(a)] and noisy == ([0] if index >= 3 else [])
+        rng, twin, loop = conc.rng(41), conc.rng(41), conc.rng(41)
+        for steps, size in ((1, 1), (3, 7), (2, 64)):
+            block = draw(rng, steps, size)
+            assert block.dtype == float and block.shape == (steps, len(noisy), size)
+            for i in range(steps):
+                got = conc.sample(a, twin, size=size)
+                want = self.per_draw(conc, a, loop, size)
+                assert got.dtype == want.dtype and got.shape == want.shape == (size,)
+                assert got.tobytes() == want.tobytes()
+                if noisy:
+                    assert block[i, 0].tobytes() == want.tobytes()
+        # All three generators stand at the same place afterwards.
+        assert rng.random() == twin.random() == loop.random()
 
     @pytest.mark.parametrize("index", range(3))
     def test_precise_value_consumes_no_randomness(self, conc, index):
-        a = self.NUMBERS[index]
+        a = self.PRECISE[index]
+        centers, noisy, draw = conc.drawer([a])
+        assert noisy == [] and centers == [conc.center(a)]
         rng, fresh = conc.rng(42), conc.rng(42)
-        assert np.all(conc.sampler(a)(rng, 5) == conc.center(a))
+        assert draw(rng, 4, 5).shape == (4, 0, 5)
+        assert np.all(conc.sample(a, rng, size=5) == conc.center(a))
         assert rng.random() == fresh.random()
 
     def test_full_line_refused_when_built(self, conc):
-        with pytest.raises(FullNotConcretizable):
-            conc.sampler(from_neutrix(FULL))
-        with pytest.raises(FullNotConcretizable):
-            conc.sampler(monomial(1) + from_neutrix(FULL))
+        for a in (from_neutrix(FULL), monomial(1) + from_neutrix(FULL)):
+            with pytest.raises(FullNotConcretizable):
+                conc.drawer([monomial(2), a])
+
+    def test_block_equals_per_step_draws(self, conc):
+        # All numbers in one list: precise ones interleave with noisy ones.
+        centers, noisy, draw = conc.drawer(self.NUMBERS)
+        assert centers == [conc.center(a) for a in self.NUMBERS]
+        assert noisy == list(range(3, len(self.NUMBERS)))
+        rng, loop = conc.rng(41), conc.rng(41)
+        for steps, size in ((1, 1), (3, 7), (2, 64)):
+            block = draw(rng, steps, size)
+            assert block.shape == (steps, len(noisy), size)
+            for i in range(steps):
+                for j, a in enumerate(self.NUMBERS):
+                    want = self.per_draw(conc, a, loop, size)
+                    if j in noisy:
+                        assert block[i, noisy.index(j)].tobytes() == want.tobytes()
+        assert rng.random() == loop.random()
+
+    def test_draws_contained(self, conc):
+        _, noisy, draw = conc.drawer(self.NUMBERS)
+        block = draw(conc.rng(43), 3, 32)
+        for k, j in enumerate(noisy):
+            assert all(conc.contains(x, self.NUMBERS[j]) for x in block[:, k].ravel())
+
+    def test_unbounded_span_refused_like_uniform(self):
+        conc = Concretization(eps0=1e-2)
+        a = from_neutrix(pound(Fraction(-307, 2)))
+        r = conc.radius(a.neutrix)
+        with pytest.raises(OverflowError) as want:
+            conc.rng(0).uniform(-r, r, size=3)
+        with pytest.raises(OverflowError, match=f"^{want.value}$"):
+            conc.drawer([a])[2](conc.rng(0), 1, 3)
+        # No step, no draw: a step-by-step loop would never call uniform.
+        assert conc.drawer([a])[2](conc.rng(0), 0, 3).shape == (0, 1, 3)
 
 
 class TestOrderSoundness:

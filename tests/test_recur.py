@@ -2,13 +2,16 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from flexnum import recur
 from flexnum.concretize import Concretization
+from flexnum.dsl import parse_recur_rhs
 from flexnum.errors import ContractionRequired, FullNotConcretizable, NumericOverflow
 from flexnum.extnum import from_neutrix, monomial
 from flexnum.recur import (
@@ -126,6 +129,34 @@ class TestPaths:
         }
         with pytest.raises(NumericOverflow, match=rf"^{what} left double range at step n=1$"):
             runs[what]()
+
+    def test_overflow_named_in_run_order(self, conc_coarse):
+        # The stability run leaves double range at n=44.  The tolerance-scale
+        # run from d0 = 0.25 leaves it near n=14, but runs after it.
+        spec = RecurrenceSpec(parse_recur_rhs("u + u^2"), monomial(0), horizon=200)
+        with pytest.raises(NumericOverflow, match=r"^perturbed path left double range at step n=44$"):
+            classify_stability(spec, monomial(0), pound(1), conc_coarse, samples=200, seed=1)
+
+    def test_path_set_views(self, conc_coarse):
+        # One noisy parameter and one precise one, 1/10.
+        alpha = monomial(Fraction(1, 2)) + from_neutrix(OSLASH)
+        f = Add(Mul(Const(alpha), Var("u")), Const(monomial(Fraction(1, 10))))
+        spec = RecurrenceSpec(f, one + from_neutrix(OSLASH), horizon=6, n0=2)
+        paths = sample_paths(spec, conc_coarse, count=5, seed=8)
+        assert len(paths) == 5 and paths.start == 2 and paths.values.shape == (7, 5)
+        assert [d.shape for d in paths.draws] == [(6, 5), (6, 5)]
+        assert [p.values.tobytes() for p in paths] == [paths.values[:, j].tobytes() for j in range(5)]
+        for j in range(5):
+            for p in (paths[j], paths[j - 5]):
+                assert p.start == 2
+                assert np.shares_memory(p.values, paths.values)
+                assert p.values.tobytes() == paths.values[:, j].tobytes()
+                assert np.shares_memory(p.draws[0], paths.draws[0])
+                assert p.draws[0].tobytes() == paths.draws[0][:, j].tobytes()
+                assert p.draws[1].tobytes() == np.full(6, 0.1).tobytes()
+        for j in (5, -6):
+            with pytest.raises(IndexError):
+                paths[j]
 
     def test_nan_path_is_not_an_overflow(self, conc_coarse):
         # The square root of a negative value is nan, not out of range.
@@ -276,36 +307,93 @@ class TestStability:
         assert np.array_equal(r1, r2)
 
 
-class TestDrawOrder:
-    """Hoisted samplers draw what a per-draw ``sample`` call would, in the same order.
+def per_draw(conc, a, rng, size):
+    """One parameter's draw for one step, its interval derived afresh: the
+    per-step sampler that the block drawer stands for."""
+    r = conc.radius(a.neutrix)
+    base = np.full(size, conc.center(a), dtype=float)
+    return base + rng.uniform(-r, r, size=size) if r else base
 
-    The reference sampler re-derives radius and center on every draw and logs
-    which number it drew for, so a run through it must match the real run bit
-    for bit, and its log pins the order of the draws: u0 first, then every
-    parameter occurrence in leaf order at every step.
+
+class TestDrawOrder:
+    """Block draws and the batched run give what step-by-step draws give.
+
+    The reference replaces the block drawer with a loop that draws every
+    parameter at every step through :func:`per_draw` and logs which number
+    it drew for, so a run through it must match the real run bit for bit,
+    and its log pins the order of the draws: u0 first, then every parameter
+    occurrence in leaf order at every step, run after run.
     """
 
     @pytest.fixture
     def reference(self, monkeypatch):
         log = []
 
-        def sampler(conc, a):
-            def draw(rng, size):
-                log.append((a, size))
-                r = conc.radius(a.neutrix)
-                base = np.full(size, conc.center(a), dtype=float)
-                return base + rng.uniform(-r, r, size=size) if r else base
+        def loop_drawer(conc, params):
+            # Centers and noisy parameters derived afresh; every parameter,
+            # noisy or not, is drawn at every step, as one sampler per draw did.
+            noisy = [j for j, a in enumerate(params) if conc.radius(a.neutrix)]
 
-            return draw
+            def draw(rng, steps, size):
+                block = np.empty((steps, len(noisy), size))
+                for i in range(steps):
+                    log.extend((a, size) for a in params)
+                    rows = [per_draw(conc, a, rng, size) for a in params]
+                    for k, j in enumerate(noisy):
+                        block[i, k] = rows[j]
+                return block
+
+            return [conc.center(a) for a in params], noisy, draw
 
         def run(fn, *args, **kwargs):
             log.clear()
             with monkeypatch.context() as m:
-                m.setattr(Concretization, "sampler", sampler)
+                m.setattr(Concretization, "drawer", loop_drawer)
                 out = fn(*args, **kwargs)
             return out, list(log)
 
         return run
+
+    @staticmethod
+    def run_by_run(spec, reference, noise, conc, samples, seed):
+        """The sampled classification as nine runs in turn, each drawing every
+        parameter at every step: the loop that the one batch replaces.  Returns
+        the verdict and the nine runs' paths side by side."""
+        ref = reference_path(RecurrenceSpec(spec.f, reference, spec.horizon, spec.n0), conc)
+        r_noise = conc.radius(noise)
+        rng = np.random.default_rng([conc.seed, seed, 7])
+        params = spec.parameters()
+        step = recur._compile(spec.f, [])
+        paths = []
+
+        def run(d0):
+            values = [ref[0] + d0]
+            for i in range(spec.horizon):
+                n = spec.n0 + i
+                with np.errstate(all="ignore"):
+                    nxt = step(n, values[-1], [per_draw(conc, a, rng, d0.size) for a in params])
+                if not np.all(np.abs(nxt) <= 1e300):
+                    why = "is not a number" if np.any(np.isnan(nxt)) else "left double range"
+                    raise NumericOverflow(f"perturbed path {why} at step n={n}")
+                values.append(nxt)
+            paths.append(np.array(values))
+            return paths[-1] - ref[:, None]
+
+        within = conc.sample_neutrix(noise, rng, size=samples)
+        bound = 0.0 if noise.is_zero else max(r_noise, 1e-300) * recur._ESCAPE_FACTOR
+        escape = np.abs(run(within)).max(axis=0) > bound
+        evidence = {"route": "sampled falsification", "samples": samples, "horizon": spec.horizon}
+        stable = Flag.FALSIFIED if escape.any() else Flag.UNKNOWN
+        if escape.any():
+            evidence["stability_counterexample_d0"] = float(within[int(np.argmax(escape))])
+        tail = max(1, spec.horizon // 4)
+        per_scale = []
+        for s in np.geomspace(max(r_noise * 4.0, conc.eps0 ** 12), 0.5, num=8):
+            d = run(np.full(16, s * 0.5))
+            per_scale.append((float(s), bool((np.abs(d[-tail:]) <= max(r_noise, 1e-300)).all(axis=0).any())))
+        evidence["tolerance_scales"] = per_scale
+        asym = Flag.UNKNOWN if any(ok for _, ok in per_scale) else Flag.FALSIFIED
+        return recur.StabilityVerdict(stable, asym, asym, evidence), np.hstack(paths)
 
     @staticmethod
     def benchmark_spec(horizon):
@@ -319,6 +407,7 @@ class TestDrawOrder:
         spec = RecurrenceSpec(spec.f, u0, spec.horizon, spec.n0)
         got = sample_paths(spec, conc_coarse, count=9, seed=31, compensated=compensated)
         want, log = reference(sample_paths, spec, conc_coarse, count=9, seed=31, compensated=compensated)
+        assert got.values.tobytes() == want.values.tobytes()
         for p, q in zip(got, want, strict=True):
             assert p.start == q.start
             assert p.values.tobytes() == q.values.tobytes()
@@ -326,15 +415,19 @@ class TestDrawOrder:
         params = spec.parameters()
         assert log == [(u0, 9)] + [(a, 9) for _ in range(spec.horizon) for a in params]
 
-    @pytest.mark.parametrize("case", ("benchmark", "benchmark-zero-noise", "drain"))
-    def test_classify_stability(self, conc_coarse, reference, case):
+    CASES = ("benchmark", "benchmark-zero-noise", "drain")
+
+    def case_args(self, case, conc):
         if case == "drain":
             spec = drain_spec(a=2, horizon=30)
-            args = (spec, spec.u0, OSLASH, conc_coarse)
-        else:
-            spec = self.benchmark_spec(30)
-            noise = ZERO if case == "benchmark-zero-noise" else inputs.STABILITY_NOISE
-            args = (spec, monomial(0), noise, conc_coarse)
+            return spec, (spec, spec.u0, OSLASH, conc)
+        spec = self.benchmark_spec(30)
+        noise = ZERO if case == "benchmark-zero-noise" else inputs.STABILITY_NOISE
+        return spec, (spec, monomial(0), noise, conc)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_classify_stability(self, conc_coarse, reference, case):
+        spec, args = self.case_args(case, conc_coarse)
         got = classify_stability(*args, samples=40, seed=5)
         want, log = reference(classify_stability, *args, samples=40, seed=5)
         assert got.evidence["route"] == "sampled falsification"
@@ -343,6 +436,39 @@ class TestDrawOrder:
         # One 40-path stability run, then eight 16-path tolerance-scale runs.
         sizes = [40] + [16] * 8
         assert log == [(a, size) for size in sizes for _ in range(spec.horizon) for a in params]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_batch_matches_run_by_run(self, conc_coarse, case, monkeypatch):
+        _, args = self.case_args(case, conc_coarse)
+        batches = []
+
+        def spy(step, values, *rest):
+            run(step, values, *rest)
+            batches.append(values.copy())
+
+        want, paths = self.run_by_run(*args, samples=40, seed=5)
+        run = recur._run
+        monkeypatch.setattr(recur, "_run", spy)
+        got = classify_stability(*args, samples=40, seed=5)
+        assert repr(got.to_dict()) == repr(want.to_dict())
+        # The reference path, then the batch: every value of every run, bit for bit.
+        assert len(batches) == 2 and batches[1].tobytes() == paths.tobytes()
+
+    # With zero noise the stability run stays at 0 and only the last scale
+    # escapes.  In the last case the scales' runs are nan from n=0, and the
+    # stability run, first in order, leaves double range at n=1 without a nan.
+    @pytest.mark.parametrize("f, noise", [
+        ("u + u^2", pound(1)), ("u + u^2", ZERO), ("u + u^2 + e*L", pound(1)),
+        ("u*u*u*1000 + e*L", pound(1)), ("u^(1/2) + e*L", pound(1)),
+        ("u^8 + 0*(u^2*((u - 1/10)^2 - 1/25))^(1/2)", pound(-2)),
+    ], ids=str)
+    def test_batch_refuses_as_run_by_run(self, conc_coarse, f, noise):
+        spec = RecurrenceSpec(parse_recur_rhs(f), monomial(0), horizon=200)
+        args = (spec, monomial(0), noise, conc_coarse)
+        with pytest.raises(NumericOverflow) as want:
+            self.run_by_run(*args, samples=200, seed=1)
+        with pytest.raises(NumericOverflow, match=f"^{re.escape(str(want.value))}$"):
+            classify_stability(*args, samples=200, seed=1)
 
     def test_full_parameter_refused_at_every_horizon(self, conc_coarse):
         f = Add(Mul(Const(from_neutrix(FULL)), Pow(Var("u"), 2)), Const(from_neutrix(pound(1))))
