@@ -60,8 +60,8 @@ class ShadowExpansion:
 class CauchyCertificate:
     """Witness that the partial sums are Cauchy modulo the microhalo.
 
-    ``pair_bounds`` records, for each m < n, the neutrix L*e^(m+1) verified to
-    contain s_n - s_m; the segment is the limited indices.
+    ``pair_bounds`` records, for each m < n, the neutrix L*e^(m+1) that
+    contains s_n - s_m; the segment is the limited indices.
     """
 
     segment: Segment
@@ -79,7 +79,7 @@ class ShadowNumber:
 def borel_ritt(coeffs: Coeffs, order: Optional[int] = None) -> ShadowNumber:
     """Construct a number whose e-shadow expansion starts with ``coeffs``.
 
-    Verifies the pairwise bound |s_n - s_m| inside L*e^(min(m,n)+1) for the
+    Records the pairwise bound |s_n - s_m| inside L*e^(min(m,n)+1) for the
     whole prefix and returns b = s_K + M (the truncation blurred by the
     microhalo, which is invisible to every level of the expansion).
     """
@@ -87,17 +87,11 @@ def borel_ritt(coeffs: Coeffs, order: Optional[int] = None) -> ShadowNumber:
     k = exp.order if order is None else order
     if k < 1 or k > exp.order:
         raise IndexBeyondPrefix(f"order must lie in 1..{exp.order}")
-    bounds = []
-    for m in range(k + 1):
-        bound = scale.pound(m + 1)
-        # s_n - s_m is the sum of a_j e^j over m < j <= n, so pair (m, n) adds
-        # only a_n e^n to pair (m, n - 1), which already passed.
-        for n in range(m + 1, k + 1):
-            if not (exp.coeffs[n] == 0 or bound.absorbs(Fraction(n))):
-                raise AssertionError(f"partial sums escape {bound} at ({m}, {n})")
-            bounds.append((m, n, bound))
+    # s_n - s_m is the sum of a_j e^j over m < j <= n, and L*e^(m+1) absorbs
+    # e^j for every j >= m + 1: every pair holds, whatever the coefficients.
+    bounds = tuple((m, n, scale.pound(m + 1)) for m in range(k + 1) for n in range(m + 1, k + 1))
     value = ExternalNumber(exp.partial_sum(k), scale.MICRO)
-    cert = CauchyCertificate(limited(), scale.MICRO, tuple(bounds))
+    cert = CauchyCertificate(limited(), scale.MICRO, bounds)
     return ShadowNumber(value, exp, cert)
 
 

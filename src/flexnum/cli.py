@@ -2,7 +2,7 @@
 
 Subcommands: eval, limit, cauchy, recur, borel-ritt, match.  Exit codes:
 0 the stated claim holds, 1 it fails, 2 an error (parse failure, domain
-error, unmet precondition).
+error, unmet precondition) or a reader that closed standard output.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -298,7 +299,15 @@ def main(argv: Optional[list] = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_dash_values(list(argv)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a closed stdout is met inside this try.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`flexnum ... | head`): stop quietly, and
+        # point stdout at devnull so the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except FlexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import scale
-from .errors import FullNotConcretizable
+from .errors import FullNotConcretizable, NumericOverflow
 from .extnum import ExternalNumber, sub
 from .scale import Neutrix
 
@@ -85,7 +85,13 @@ class Concretization:
         if n.is_micro:
             return self.eps0 ** float(self.micro_exp)
         shift = -self.delta if n.kind is scale.Kind.POUND else self.delta
-        return self.eps0 ** float(n.q + shift)
+        try:
+            return self.eps0 ** float(n.q + shift)
+        except OverflowError:
+            raise NumericOverflow(self._too_wide(n, "radius")) from None
+
+    def _too_wide(self, n: Neutrix, what: str) -> str:
+        return f"neutrix {n} has no interval at eps0={self.eps0}: its {what} overflows a double"
 
     def center(self, a: ExternalNumber) -> float:
         return a.rep.eval(self.eps0)
@@ -104,7 +110,8 @@ class Concretization:
         a full-line parameter is refused.  Only the ``noisy`` ones, of nonzero
         radius, consume randomness: ``draw(rng, steps, size)`` gives (steps,
         len(noisy), size) draws, bit for bit one ``c + rng.uniform(-r, r,
-        size)`` per step and noisy parameter in turn."""
+        size)`` per step and noisy parameter in turn.  A span 2r past double
+        range is refused, naming its neutrix, when a step is drawn."""
         centers = [self.center(a) for a in params]
         radii = [self.radius(a.neutrix) for a in params]
         noisy = [j for j, r in enumerate(radii) if r]
@@ -114,7 +121,8 @@ class Concretization:
 
         def draw(rng: np.random.Generator, steps: int, size: int) -> np.ndarray:
             if steps and not np.isfinite(span).all():
-                raise OverflowError("high - low range exceeds valid bounds")
+                wide = noisy[int(np.argmin(np.isfinite(span[:, 0])))]
+                raise NumericOverflow(self._too_wide(params[wide].neutrix, "width"))
             # uniform computes low + (high - low) * U from the same U.
             block = rng.random(size=(steps, len(noisy), size))
             block *= span

@@ -35,7 +35,8 @@ class HypothesisUnverified(FlexError):
 
 
 class NumericOverflow(FlexError):
-    """A sampled path left the range of double precision or became not a number."""
+    """A sampled path left the range of double precision or became not a
+    number, or a neutrix's interval is too wide for a double."""
 
 
 class ContractionRequired(FlexError):

@@ -30,9 +30,9 @@ from typing import Iterable, Tuple
 
 from . import scale
 from .errors import DivisionByNeutrix, ResultTooLarge, UnrepresentableDivision
-from .scale import Neutrix, Rational, power_text
+from .scale import Neutrix, Rational, exact, power_text
 
-Term = Tuple[Fraction, Fraction]  # (coefficient, exponent), coefficient != 0
+Term = Tuple[Fraction, Rational]  # (coefficient, exponent), coefficient != 0
 
 _MAX_INVERSE_ROUNDS = 64
 
@@ -43,7 +43,8 @@ class FormalSeries:
 
     Canonical form, which every constructor keeps and the arithmetic relies
     on: exponents strictly ascending (no duplicates), no zero coefficients,
-    and every coefficient and exponent a ``Fraction``.  Build from arbitrary
+    every coefficient a ``Fraction`` and every exponent as
+    :func:`scale.exact` gives it (an ``int`` when integral).  Build from arbitrary
     ``(c, q)`` items through :meth:`from_terms`; the raw constructor takes
     terms already in canonical form.
     """
@@ -57,7 +58,7 @@ class FormalSeries:
             c = _fraction(c)
             if c == 0:
                 continue
-            q = _fraction(q)
+            q = exact(q)
             acc[q] = acc[q] + c if q in acc else c
         return _from_exponent_map(acc)
 
@@ -115,8 +116,7 @@ class FormalSeries:
 
     def scaled(self, c: Rational, q: Rational = 0) -> "FormalSeries":
         c = _fraction(c)
-        q = _fraction(q)
-        return FormalSeries(tuple((c * c0, q + q0) for c0, q0 in self.terms)) if c else FormalSeries()
+        return FormalSeries(tuple((c * c0, exact(q + q0)) for c0, q0 in self.terms)) if c else FormalSeries()
 
     def inverse(self, target: Neutrix) -> "FormalSeries":
         """Truncated series inverse: terms absorbed by ``target`` are dropped.
@@ -177,8 +177,8 @@ def _fraction(x: Rational) -> Fraction:
 
 
 def _from_exponent_map(acc: dict) -> FormalSeries:
-    """The canonical series of an {exponent: coefficient} map of Fractions."""
-    return FormalSeries(tuple(sorted(((c, q) for q, c in acc.items() if c), key=itemgetter(1))))
+    """The canonical series of an {exponent: coefficient Fraction} map."""
+    return FormalSeries(tuple(sorted(((c, exact(q)) for q, c in acc.items() if c), key=itemgetter(1))))
 
 
 def _rat_text(c: Fraction) -> str:
@@ -189,7 +189,7 @@ def _rat_text(c: Fraction) -> str:
         raise ResultTooLarge(f"a rational of about {digits} digits is too large to print") from exc
 
 
-def _monomial_text(c: Fraction, q: Fraction, leading: bool) -> str:
+def _monomial_text(c: Fraction, q: Rational, leading: bool) -> str:
     sign = "-" if c < 0 else ("" if leading else "+")
     mag = abs(c)
     if q == 0:

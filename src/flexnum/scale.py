@@ -13,7 +13,11 @@ generated by a fixed positive infinitesimal ``e`` (with ``w = e^-1``):
 ====================  =========================================
 
 Exponents q are exact rationals and a *larger* exponent means a *smaller*
-set.  The family is totally ordered by inclusion:
+set.  :func:`exact` gives every exponent, power of n and geometric base of
+the symbolic layers its one representation: an ``int`` when integral, a
+``Fraction`` otherwise.  An int hashes and compares like the Fraction of the
+same value at a small part of the cost, and sums and products of ints stay
+ints.  The family is totally ordered by inclusion:
 
     0 < M < e^q*o < e^q*L < e^p*o < e^p*L < R        (q > p)
 
@@ -25,11 +29,20 @@ All values are immutable and hashable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 Rational = Union[int, Fraction]
+
+
+def exact(x) -> Rational:
+    """x as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Kind(enum.IntEnum):
@@ -53,22 +66,27 @@ class Neutrix:
 
     Use the module constants ``ZERO``, ``MICRO``, ``FULL``, ``OSLASH``,
     ``POUND`` and the constructors :func:`oslash` / :func:`pound`; the raw
-    constructor is not meant to be called with inconsistent fields.
+    constructor is not meant to be called with inconsistent fields.  The
+    exponent ``q`` is stored as :func:`exact` gives it, and the inclusion
+    order key is computed once, here.
     """
 
     variant: _Variant
     kind: Optional[Kind] = None
-    q: Fraction = Fraction(0)
+    q: Rational = 0
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant is _Variant.MONO:
             if self.kind is None:
                 raise ValueError("monomial neutrix needs a kind")
-            if not isinstance(self.q, Fraction):
-                object.__setattr__(self, "q", Fraction(self.q))
+            q = exact(self.q)
+            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "_key", (self.variant, -q, self.kind))
         else:
             if self.kind is not None or self.q != 0:
                 raise ValueError("kind/exponent only apply to monomial neutrices")
+            object.__setattr__(self, "_key", (self.variant, 0, 0))
 
     # -- predicates ---------------------------------------------------------
 
@@ -105,28 +123,23 @@ class Neutrix:
 
     # -- inclusion order ----------------------------------------------------
 
-    def _order_key(self):
-        if self.variant is _Variant.MONO:
-            return (self.variant, -self.q, self.kind)
-        return (self.variant, 0, 0)
-
     def __lt__(self, other: "Neutrix") -> bool:
-        return self._order_key() < other._order_key()
+        return self._key < other._key
 
     def __le__(self, other: "Neutrix") -> bool:
-        return self._order_key() <= other._order_key()
+        return self._key <= other._key
 
     def __gt__(self, other: "Neutrix") -> bool:
-        return other < self
+        return self._key > other._key
 
     def __ge__(self, other: "Neutrix") -> bool:
-        return other <= self
+        return self._key >= other._key
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "Neutrix") -> "Neutrix":
         """Sum of neutrices: the union, i.e. the larger of the two."""
-        return self if other <= self else other
+        return self if other._key <= self._key else other
 
     def __mul__(self, other: "Neutrix") -> "Neutrix":
         if self.is_zero or other.is_zero:
@@ -174,12 +187,12 @@ FULL = Neutrix(_Variant.FULL)
 
 def oslash(q: Rational = 0) -> Neutrix:
     """The neutrix e^q * o."""
-    return Neutrix(_Variant.MONO, Kind.OSLASH, Fraction(q))
+    return Neutrix(_Variant.MONO, Kind.OSLASH, q)
 
 
 def pound(q: Rational = 0) -> Neutrix:
     """The neutrix e^q * L."""
-    return Neutrix(_Variant.MONO, Kind.POUND, Fraction(q))
+    return Neutrix(_Variant.MONO, Kind.POUND, q)
 
 
 OSLASH = oslash(0)

@@ -61,7 +61,7 @@ from .errors import (
 )
 from .extnum import ExternalNumber, FormalSeries, _rat_text, from_neutrix, monomial, scale_noise, subset
 from .extnum import div as ext_div
-from .scale import Neutrix, Rational
+from .scale import Neutrix, Rational, exact
 
 _MAX_DIV_ROUNDS = 48
 
@@ -417,13 +417,17 @@ def compile_float(u: Term, const: Callable, slots: Mapping[str, int]) -> Callabl
 # Normal form
 # ---------------------------------------------------------------------------
 
+# Every exponent of e, power of n and geometric base in a key is as
+# scale.exact gives it: an int when integral, so keys hash cheaply.  A
+# quotient of two of them must go through Fraction (int / int is a float).
 # Point key: exponent of e, power of n, geometric base, alternating flag.
-PKey = Tuple[Fraction, Fraction, Fraction, bool]
+PKey = Tuple[Rational, Rational, Rational, bool]
 # Noise key: power of n, geometric base (the e-scale lives inside the neutrix).
-NKey = Tuple[Fraction, Fraction]
+NKey = Tuple[Rational, Rational]
 # Tail bound: |remainder| <= C * e^q * n^r * b^n eventually.
-TKey = Tuple[Fraction, Fraction, Fraction, Fraction]
+TKey = Tuple[Fraction, Rational, Rational, Rational]
 
+# Coefficient constants stay Fractions, so _ONE / c never divides two ints.
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
@@ -481,7 +485,7 @@ class NormalForm:
         return text + "  [for large n]" if self.trimmed else text
 
 
-def _factor_text(r: Fraction, b: Fraction, alt: bool) -> list:
+def _factor_text(r: Rational, b: Rational, alt: bool) -> list:
     out = []
     if r != 0:
         if r == 1:
@@ -498,7 +502,7 @@ def _factor_text(r: Fraction, b: Fraction, alt: bool) -> list:
     return out
 
 
-def _point_text(c: Fraction, q: Fraction, r: Fraction, b: Fraction, alt: bool) -> str:
+def _point_text(c: Fraction, q: Rational, r: Rational, b: Rational, alt: bool) -> str:
     mono = monomial(c, q)
     head = str(mono.rep)
     factors = _factor_text(r, b, alt)
@@ -512,19 +516,19 @@ def _point_text(c: Fraction, q: Fraction, r: Fraction, b: Fraction, alt: bool) -
     return head + joined if (head or joined) else "1"
 
 
-def _noise_text(nx: Neutrix, r: Fraction, b: Fraction) -> str:
+def _noise_text(nx: Neutrix, r: Rational, b: Rational) -> str:
     factors = _factor_text(r, b, False)
     return "*".join([str(nx)] + factors) if factors else str(nx)
 
 
-def _growth(r: Fraction, b: Fraction) -> int:
+def _growth(r: Rational, b: Rational) -> int:
     """Eventual behaviour of n^r * b^n: -1 vanishes, 0 stays constant, 1 grows."""
     if b != 1:
         return 1 if b > 1 else -1
     return (r > 0) - (r < 0)
 
 
-def _size(q: Fraction, r: Fraction, b: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
+def _size(q: Rational, r: Rational, b: Rational) -> Tuple[Rational, Rational, Rational]:
     """Sort key of the eventual magnitude of e^q * n^r * b^n (global regime):
     geometric base first, then the power of n, then the e-exponent."""
     return (b, r, -q)
@@ -573,7 +577,7 @@ def _form(
     return NormalForm(tuple(sorted(kept)), noise_items, tuple(sorted(kept_tails)), trimmed)
 
 
-_ONE_NF = _form([((_ZERO, _ZERO, _ONE, False), _ONE)])
+_ONE_NF = _form([((0, 0, 1, False), _ONE)])
 
 
 def _nf_add(a: NormalForm, b: NormalForm) -> NormalForm:
@@ -611,7 +615,7 @@ def _nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
     return _form(point, noise, tails, a.trimmed or b.trimmed)
 
 
-def _magnitudes(nf: NormalForm) -> Iterable[Tuple[Fraction, Fraction, Fraction, Fraction]]:
+def _magnitudes(nf: NormalForm) -> Iterable[TKey]:
     """Envelope magnitudes (C, q, r, b) bounding each component of nf."""
     for (q, r, b, _alt), c in nf.point:
         yield (abs(c), q, r, b)
@@ -622,7 +626,7 @@ def _magnitudes(nf: NormalForm) -> Iterable[Tuple[Fraction, Fraction, Fraction, 
         if nx.is_mono:
             yield (_ONE, nx.q - (1 if nx.kind is scale.Kind.POUND else 0), r, b)
         elif nx.is_micro:
-            yield (_ONE, Fraction(10 ** 6), r, b)
+            yield (_ONE, 10 ** 6, r, b)
     for (C, q, r, b) in nf.tails:
         yield (C, q, r, b)
 
@@ -638,7 +642,7 @@ def _dominant_point(nf: NormalForm) -> Optional[Tuple[PKey, Fraction]]:
     return max(nf.point, key=lambda kv: _size(*kv[0][:3]))
 
 
-def _point_in_noise(q: Fraction, r: Fraction, b: Fraction, noise: Tuple[Tuple[NKey, Neutrix], ...]) -> bool:
+def _point_in_noise(q: Rational, r: Rational, b: Rational, noise: Tuple[Tuple[NKey, Neutrix], ...]) -> bool:
     """Whether c*e^q*n^r*b^n eventually lies inside some noise monomial
     nx*n^rN*b^nN of ``noise`` (global regime)."""
     for (rN, bN), nx in noise:
@@ -694,8 +698,8 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     def over_m0(point, noise):
         """Point and noise monomials divided by m0 = c0*e^q0*n^r0*b0^n."""
         return (
-            (((q - q0, r - r0, b / b0, s != s0), c * inv_c0) for (q, r, b, s), c in point),
-            (((r - r0, b / b0), nx.scaled(inv_c0, -q0)) for (r, b), nx in noise),
+            (((q - q0, r - r0, exact(Fraction(b, b0)), s != s0), c * inv_c0) for (q, r, b, s), c in point),
+            (((r - r0, exact(Fraction(b, b0))), nx.scaled(inv_c0, -q0)) for (r, b), nx in noise),
         )
 
     # w = den/m0 - 1: every monomial strictly below 1.
@@ -703,7 +707,7 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     # num / m0, exact.
     basef = _form(
         *over_m0(num.point, num.noise),
-        ((C * abs(inv_c0), q - q0, r - r0, b / b0) for (C, q, r, b) in num.tails),
+        ((C * abs(inv_c0), q - q0, r - r0, exact(Fraction(b, b0))) for (C, q, r, b) in num.tails),
         num.trimmed or den.trimmed,
     )
 
@@ -744,7 +748,7 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     raise Unnormalizable("series division does not close against the result's noise")
 
 
-def _dominant_magnitude(nf: NormalForm) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+def _dominant_magnitude(nf: NormalForm) -> TKey:
     mags = list(_magnitudes(nf))
     best = max(mags, key=lambda m: _size(*m[1:]))
     total = sum((m[0] for m in mags), _ZERO)
@@ -769,21 +773,21 @@ def _nf_pow(a: NormalForm, k: Fraction) -> NormalForm:
     broot = _rational_pow(b, k)
     if croot is None or broot is None:
         raise Unnormalizable("fractional power leaves the rational scale")
-    return _form([((q * k, r * k, broot, False), croot)])
+    return _form([((exact(q * k), exact(r * k), exact(broot), False), croot)])
 
 
 def _nf_const(c: Const) -> NormalForm:
     return _form(
-        (((q, _ZERO, _ONE, False), coeff) for coeff, q in c.value.rep.terms),
-        [((_ZERO, _ONE), c.value.neutrix)],
+        (((q, 0, 1, False), coeff) for coeff, q in c.value.rep.terms),
+        [((0, 1), c.value.neutrix)],
     )
 
 
 _NORMALIZE = {
     Const: _nf_const,
-    Index: lambda _: _form([((_ZERO, _ONE, _ONE, False), _ONE)]),
-    AltSign: lambda _: _form([((_ZERO, _ZERO, _ONE, True), _ONE)]),
-    Geom: lambda g: _form([((_ZERO, _ZERO, g.base, False), _ONE)]),
+    Index: lambda _: _form([((0, 1, 1, False), _ONE)]),
+    AltSign: lambda _: _form([((0, 0, 1, True), _ONE)]),
+    Geom: lambda g: _form([((0, 0, exact(g.base), False), _ONE)]),
     Add: lambda _, a, b: _nf_add(a, b),
     Mul: lambda _, a, b: _nf_mul(a, b),
     Div: lambda _, a, b: _nf_div(a, b),
@@ -1046,7 +1050,7 @@ def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
         return None if tails_ok else False
     # Group by magnitude class; an alternating and a constant member of the
     # same class combine to c +- |a|.
-    classes: Dict[Tuple[Fraction, Fraction, Fraction], Dict[bool, Fraction]] = {}
+    classes: Dict[Tuple[Rational, Rational, Rational], Dict[bool, Fraction]] = {}
     for (q, r, b, alt), c in surviving:
         classes.setdefault((q, r, b), {})[alt] = c
     best = max(classes, key=lambda m: _size(*m))

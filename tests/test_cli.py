@@ -223,6 +223,25 @@ def test_symbolic_commands_start_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "w^2 + w*L"),
+    ("--format", "csv", "match", "--f", "-y", "--eps", "1e-4", "--y0", "1", "--tmax", "4e-1", "--dt", "auto"),
+], ids=["flushed-at-exit", "mid-output"])
+def test_closed_stdout_exits_quietly(argv):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails, whether in a print or in the last flush.
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(seq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "flexnum.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
 class TestCommonOptions:
     def test_leading_trailing_and_default_format(self, capsys):
         _, leading, _ = run(capsys, "--format", "json", "limit", "1/n + o")

@@ -7,7 +7,7 @@ import pytest
 
 import support
 from flexnum.concretize import Concretization
-from flexnum.errors import FullNotConcretizable
+from flexnum.errors import FullNotConcretizable, NumericOverflow
 from flexnum.extnum import from_neutrix, lt, monomial
 from flexnum.scale import FULL, MICRO, OSLASH, ZERO, oslash, pound
 
@@ -148,16 +148,25 @@ class TestSampler:
         for k, j in enumerate(noisy):
             assert all(conc.contains(x, self.NUMBERS[j]) for x in block[:, k].ravel())
 
-    def test_unbounded_span_refused_like_uniform(self):
+    def test_unbounded_span_refused_naming_the_neutrix(self):
         conc = Concretization(eps0=1e-2)
         a = from_neutrix(pound(Fraction(-307, 2)))
         r = conc.radius(a.neutrix)
-        with pytest.raises(OverflowError) as want:
+        with pytest.raises(OverflowError):
             conc.rng(0).uniform(-r, r, size=3)
-        with pytest.raises(OverflowError, match=f"^{want.value}$"):
-            conc.drawer([a])[2](conc.rng(0), 1, 3)
+        msg = r"^neutrix w\^\(307/2\)\*L has no interval at eps0=0\.01: its width overflows a double$"
+        with pytest.raises(NumericOverflow, match=msg):
+            conc.drawer([monomial(2), from_neutrix(pound(1)), a])[2](conc.rng(0), 1, 3)
         # No step, no draw: a step-by-step loop would never call uniform.
         assert conc.drawer([a])[2](conc.rng(0), 0, 3).shape == (0, 1, 3)
+
+    def test_overflowing_radius_refused_naming_the_neutrix(self):
+        conc = Concretization(eps0=1e-2)
+        msg = r"^neutrix w\^200\*L has no interval at eps0=0\.01: its radius overflows a double$"
+        with pytest.raises(NumericOverflow, match=msg):
+            conc.radius(pound(-200))
+        with pytest.raises(NumericOverflow, match=msg):
+            conc.drawer([monomial(1) + from_neutrix(pound(-200))])
 
 
 class TestOrderSoundness:

@@ -1,12 +1,15 @@
 """Series arithmetic keeps the canonical form and agrees with plain references.
 
 ``FormalSeries`` arithmetic works on its canonical form (exponents strictly
-ascending, no zero coefficients, every value a ``Fraction``).  The references
+ascending, no zero coefficients, every coefficient a ``Fraction`` and every
+exponent as ``scale.exact`` gives it: an ``int`` exactly when it is
+integral).  The references
 below rebuild each result from all its monomials, as the constructor
 ``from_terms`` does, and expand the series inverse without truncating its
 powers; the fast paths must give the same series.
 """
 
+import dataclasses
 import itertools
 import os
 import random
@@ -14,9 +17,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
+import strategies as strat
 import support
-from flexnum import scale, seq
+from flexnum import extnum, scale, seq
 from flexnum.errors import UnrepresentableDivision
 from flexnum.extnum import FormalSeries, monomial
 from flexnum.scale import FULL, MICRO, ZERO, oslash, pound
@@ -67,11 +72,16 @@ def ref_inverse(s, target):
     raise UnrepresentableDivision(f"series inverse of {s} does not terminate against neutrix {target}")
 
 
+def is_exact(q):
+    """An int, or a Fraction that is not integral: the form scale.exact gives."""
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
+
+
 def assert_canonical(s):
     qs = [q for _, q in s.terms]
     assert all(p < q for p, q in zip(qs, qs[1:])), s.terms
     for c, q in s.terms:
-        assert c != 0 and type(c) is Fraction and type(q) is Fraction, s.terms
+        assert c != 0 and type(c) is Fraction and is_exact(q), s.terms
 
 
 def rand_series(rng):
@@ -148,10 +158,12 @@ def test_neutrix_int_and_fraction_exponents_agree(nx):
         assert nx.absorbs(q) == nx.absorbs(Fraction(q))
         for c in (1, Fraction(-3, 2)):
             a, b = nx.scaled(c, q), nx.scaled(c, Fraction(q))
-            assert a == b and hash(a) == hash(b) and type(a.q) is Fraction
+            assert a == b and hash(a) == hash(b) and type(a.q) is int and type(b.q) is int
+            half = nx.scaled(c, Fraction(2 * q + 1, 2))
+            assert type(half.q) is (Fraction if nx.is_mono else int)
     if nx.is_mono:
-        raw = scale.Neutrix(nx.variant, nx.kind, int(nx.q))
-        assert raw == nx and hash(raw) == hash(nx) and type(raw.q) is Fraction
+        raw = scale.Neutrix(nx.variant, nx.kind, Fraction(nx.q))
+        assert raw == nx and hash(raw) == hash(nx) and type(raw.q) is int
 
 
 def test_integer_powers_by_squaring_match_repeated_products():
@@ -166,3 +178,56 @@ def test_integer_powers_by_squaring_match_repeated_products():
             cases += 1
     assert cases == 12000
 
+
+
+def floats_in(x):
+    """Every float inside x: a value, series, neutrix, normal form or report."""
+    if isinstance(x, float):
+        return [x]
+    if isinstance(x, (tuple, list)):
+        return [f for item in x for f in floats_in(item)]
+    if isinstance(x, dict):
+        return floats_in(list(x.values()))
+    if dataclasses.is_dataclass(x):
+        return [f for fld in dataclasses.fields(x) for f in floats_in(getattr(x, fld.name))]
+    return []
+
+
+def _answers(fn, *args):
+    try:
+        return [fn(*args)]
+    except Exception:  # noqa: BLE001 - only the answers given are walked
+        return []
+
+
+def assert_no_float(*values):
+    assert not floats_in(values), values
+
+
+def test_no_float_in_series_normal_forms_or_keys():
+    """No coefficient, exponent, power of n or geometric base is ever a float
+    (int / int is one), on the benchmark's own inputs."""
+    for a, b in itertools.islice(inputs.extnum_pairs(random.Random("floats/1")), 400):
+        got = [r for op in (extnum.add, extnum.sub, extnum.mul, extnum.div) for r in _answers(op, a, b)]
+        for x in (a, b, *got):
+            assert_canonical(x.rep)
+            assert is_exact(x.neutrix.q)
+        assert_no_float(a, b, got)
+    for cu, cv in itertools.islice(inputs.seq_questions(random.Random("floats/2")), 60):
+        for u in (cu.term, cv.term):
+            got = _answers(seq.normalize, u) + _answers(seq.n_limit, u)
+            got += _answers(seq.limit_wrt_segment, u, seq.limited())
+            assert_no_float(got)
+
+
+@given(strat.externals(), strat.zeroless_externals(), strat.exponents)
+def test_no_float_from_strategy_values(a, z, k):
+    got = _answers(extnum.div, a, z) + [a * z, a - z]
+    for x in got:
+        assert_canonical(x.rep)
+    base = seq.Geom(abs(k) + Fraction(1, 2))
+    for u in (seq.Mul(seq.Const(a), seq.Pow(seq.N, k)),
+              seq.Div(seq.Mul(seq.Const(a), base), seq.Add(seq.Const(z), seq.Pow(seq.N, -abs(k) - 1))),
+              seq.Pow(seq.Mul(seq.Const(monomial(4, k)), base), Fraction(1, 2))):
+        got += _answers(seq.normalize, u) + _answers(seq.n_limit, u)
+    assert_no_float(got)
