@@ -22,7 +22,7 @@ from hypothesis import given
 import strategies as strat
 import support
 from flexnum import extnum, scale, seq
-from flexnum.errors import UnrepresentableDivision
+from flexnum.errors import FlexError, UnrepresentableDivision
 from flexnum.extnum import FormalSeries, monomial
 from flexnum.scale import FULL, MICRO, ZERO, oslash, pound
 
@@ -186,8 +186,6 @@ def floats_in(x):
         return [x]
     if isinstance(x, (tuple, list)):
         return [f for item in x for f in floats_in(item)]
-    if isinstance(x, dict):
-        return floats_in(list(x.values()))
     if dataclasses.is_dataclass(x):
         return [f for fld in dataclasses.fields(x) for f in floats_in(getattr(x, fld.name))]
     return []
@@ -196,7 +194,7 @@ def floats_in(x):
 def _answers(fn, *args):
     try:
         return [fn(*args)]
-    except Exception:  # noqa: BLE001 - only the answers given are walked
+    except FlexError:  # a refusal has no value to walk
         return []
 
 
