@@ -33,7 +33,7 @@ def _conc_from_args(args):
         overrides["micro_exp"] = Fraction(args.micro_exp)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    return Concretization.from_env(**overrides)
+    return Concretization(**overrides)
 
 
 def _parse_segment(text: str) -> seq.Segment:

@@ -16,15 +16,12 @@ separation must be gated on :func:`separated`; containment checks are
 inclusive and need no gap.
 
 :meth:`Concretization.drawer` fixes the intervals of a parameter list once and
-draws all steps of a run as one block; :meth:`Concretization.sample` draws
-one number through it.
-
-Environment overrides: FLEX_EPS0, FLEX_DELTA, FLEX_MICRO_EXP, FLEX_SEED.
+draws all steps of a run as one block; :meth:`Concretization.sample` and
+:meth:`Concretization.sample_neutrix` draw through it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +29,7 @@ import numpy as np
 
 from . import scale
 from .errors import FullNotConcretizable, NumericOverflow
-from .extnum import ExternalNumber, sub
+from .extnum import ExternalNumber, from_neutrix, sub
 from .scale import Neutrix
 
 #: The two magnitudes exercised in CI so no test keys on a single eps0.
@@ -55,21 +52,6 @@ class Concretization:
             raise ValueError("eps0 must lie in (0, 1e-2]")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "Concretization":
-        def pick(key, cast, default):
-            raw = os.environ.get(key)
-            return cast(raw) if raw is not None else default
-
-        values = dict(
-            eps0=pick("FLEX_EPS0", float, cls.eps0),
-            delta=pick("FLEX_DELTA", Fraction, cls.delta),
-            micro_exp=pick("FLEX_MICRO_EXP", Fraction, cls.micro_exp),
-            seed=pick("FLEX_SEED", int, cls.seed),
-        )
-        values.update(overrides)
-        return cls(**values)
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         """A generator owned by one test/worker; streams do not collide."""
@@ -138,10 +120,11 @@ class Concretization:
         return draw(rng, 1, size)[0, 0] if noisy else np.full(size, centers[0], dtype=float)
 
     def sample_neutrix(self, n: Neutrix, rng: np.random.Generator, size=None):
-        r = self.radius(n)
+        """Draws from the interval of n, through :meth:`sample`; one float
+        when ``size`` is None."""
         if size is None:
-            return rng.uniform(-r, r) if r else 0.0
-        return rng.uniform(-r, r, size=size) if r else np.zeros(size)
+            return float(self.sample(from_neutrix(n), rng, 1)[0])
+        return self.sample(from_neutrix(n), rng, size)
 
     # -- oracle gating ------------------------------------------------------
 

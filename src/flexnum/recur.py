@@ -261,9 +261,8 @@ def affine_closed_form(alpha: ExternalNumber, noise: Neutrix, conc: Concretizati
     one = monomial(1)
     if not ext_lt(abs(alpha), one):
         raise ContractionRequired(f"|{alpha}| < 1 fails")
+    # |alpha| < 1 makes 1 - |alpha| zeroless.
     gap = sub(one, abs(alpha))
-    if not gap.is_zeroless:
-        raise ContractionRequired(f"1 - |{alpha}| is not zeroless")
     limit_neutrix = ext_div(from_neutrix(noise), gap).neutrix
     if limit_neutrix != noise:
         raise AssertionError("appreciable contraction must preserve the noise level")

@@ -25,6 +25,9 @@ and all limit questions are decided on that normal form.  ``_form`` is its
 one constructor: it sums like monomials, drops absorbed ones and sorts, so
 the form does not depend on operand order.  Each question normalizes its
 term once; the Cauchy test and the order relations reuse the form they hold.
+Order questions decide alternation per parity, on that form: on the even and
+on the odd indices (-1)^n is a constant, so each alternating monomial
+becomes a plain one.
 Eventual containment u_n ⊆ v_n has one test, ``_subset``: it decides
 :func:`eventually_subset` and strong convergence, which is eventual
 containment in the limit (u_n ⊆ lim u for all large n).
@@ -59,7 +62,8 @@ from .errors import (
     Unnormalizable,
     ZerolessRequired,
 )
-from .extnum import ExternalNumber, FormalSeries, _rat_text, from_neutrix, monomial, scale_noise, subset
+from .extnum import ExternalNumber, FormalSeries, _monomial_text, _rat_text, from_neutrix, monomial
+from .extnum import scale_noise, subset
 from .extnum import div as ext_div
 from .scale import Neutrix, Rational, exact
 
@@ -503,8 +507,7 @@ def _factor_text(r: Rational, b: Rational, alt: bool) -> list:
 
 
 def _point_text(c: Fraction, q: Rational, r: Rational, b: Rational, alt: bool) -> str:
-    mono = monomial(c, q)
-    head = str(mono.rep)
+    head = _monomial_text(c, q, leading=True)
     factors = _factor_text(r, b, alt)
     if factors and head == "1":
         head = ""
@@ -560,12 +563,9 @@ def _form(
     for key, c in point:
         prev = psum.get(key)
         psum[key] = c if prev is None else prev + c
+    # nsum holds at most one neutrix per (r, b) envelope: one lookup each.
+    kept = [(key, c) for key, c in psum.items() if c and not nsum.get(key[1:3], scale.ZERO).absorbs(key[0])]
     noise_items = tuple(sorted(nsum.items()))
-    kept = [
-        (key, c)
-        for key, c in psum.items()
-        if c and not any(nk == key[1:3] and nx.absorbs(key[0]) for nk, nx in noise_items)
-    ]
     kept_tails = []
     for C, q, r, b in tails:
         if _growth(r, b) >= 0:
@@ -648,8 +648,6 @@ def _point_in_noise(q: Rational, r: Rational, b: Rational, noise: Tuple[Tuple[NK
     for (rN, bN), nx in noise:
         if nx.is_full:
             return True
-        if nx.is_zero:
-            continue
         if (b, r) < (bN, rN) or ((b, r) == (bN, rN) and nx.absorbs(q)):
             return True
     return False
@@ -660,10 +658,10 @@ def _noise_in_noise(key: NKey, n1: Neutrix, noise: Tuple[Tuple[NKey, Neutrix], .
     n2*n^r2*b2^n of ``noise``."""
     r1, b1 = key
     for (r2, b2), n2 in noise:
-        if n2.is_full or n1.is_zero:
+        if n2.is_full:
             return True
-        if n2.is_zero or n1.is_full:
-            # A nontrivial group never shrinks into {0}: scalar factors are absorbed.
+        if n1.is_full:
+            # The full line stays the full line under every scalar factor.
             continue
         if (b1, r1) < (b2, r2) or ((b1, r1) == (b2, r2) and n1 <= n2):
             return True
@@ -1043,57 +1041,58 @@ def _subset(nu: NormalForm, nv: NormalForm) -> bool:
 
 def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
     """True/False when the sign of d_n is eventually decided; None when the
-    point part is eventually swallowed by d's own noise."""
+    point part is eventually swallowed by d's own noise.  d does not
+    alternate: the largest surviving monomial decides the sign, provided
+    every tail lies strictly below it."""
     surviving = [(key, c) for key, c in d.point if not _point_in_noise(*key[:3], d.noise)]
     if not surviving:
         tails_ok = all(_point_in_noise(*t[1:], d.noise) for t in d.tails)
         return None if tails_ok else False
-    # Group by magnitude class; an alternating and a constant member of the
-    # same class combine to c +- |a|.
-    classes: Dict[Tuple[Rational, Rational, Rational], Dict[bool, Fraction]] = {}
-    for (q, r, b, alt), c in surviving:
-        classes.setdefault((q, r, b), {})[alt] = c
-    best = max(classes, key=lambda m: _size(*m))
-    top = _size(*best)
-    if not all(m == best or top > _size(*m) for m in classes):
-        return False
-    if _point_in_noise(*best, d.noise):
-        return False
-    if not all(top > _size(*t[1:]) for t in d.tails):
-        return False
-    c = classes[best].get(False, _ZERO)
-    a = classes[best].get(True, _ZERO)
-    if abs(a) < abs(c):
-        return c > 0
-    return False
+    (q, r, b, _alt), c = max(surviving, key=lambda kv: _size(*kv[0][:3]))
+    top = _size(q, r, b)
+    return c > 0 and all(top > _size(*t[1:]) for t in d.tails)
 
 
-def eventually_le(u: Term, v: Term, _depth: int = 0) -> bool:
-    """Pointwise u_n <= v_n (the external relation) for all large n."""
+def _on_parity(nf: NormalForm, s: int) -> NormalForm:
+    """nf on the indices where (-1)^n = s: each alternating monomial becomes
+    s times its envelope, which is the same function of n as before."""
+    return _form(
+        (((q, r, b, False), c * s if alt else c) for (q, r, b, alt), c in nf.point),
+        nf.noise,
+        nf.tails,
+        nf.trimmed,
+    )
+
+
+def _le(nu: NormalForm, nv: NormalForm) -> bool:
+    """u_n <= v_n for all large n, for forms that do not alternate."""
+    if nu == nv:
+        # Identical normal forms including remainder bounds: same sequence.
+        return True
+    positive = _nf_eventually_positive(_nf_add(nv, _nf_neg(nu)))
+    if positive is None:
+        # v - u is eventually inside its own noise, which contains 0; then the
+        # relation reduces to containment u_n ⊆ v_n.
+        return _subset(nu, nv)
+    return positive
+
+
+def eventually_le(u: Term, v: Term) -> bool:
+    """Pointwise u_n <= v_n (the external relation) for all large n.
+
+    Alternation is decided per parity, on the normal forms themselves: on
+    the even and on the odd indices (-1)^n is a constant, and the relation
+    holds when it holds on both.
+    """
     if _same_term(u, v):
         return True
     try:
         nu, nv = normalize(u), normalize(v)
     except Unnormalizable:
         return False
-    if nu == nv:
-        # Identical normal forms including remainder bounds: same sequence.
-        return True
-    d = _nf_add(nv, _nf_neg(nu))
-    positive = _nf_eventually_positive(d)
-    if positive is True:
-        return True
-    if positive is None:
-        # d is eventually inside its own noise, which contains 0; then the
-        # relation reduces to containment u_n ⊆ v_n.
-        return _subset(nu, nv)
-    # Alternating terms at the dominant scale: decide each parity separately
-    # (reindexing by 2 turns (-1)^n into a constant).
-    if _depth == 0 and any(key[3] for key, _ in d.point):
-        return eventually_le(reindex(u, 2, 0), reindex(v, 2, 0), 1) and eventually_le(
-            reindex(u, 2, 1), reindex(v, 2, 1), 1
-        )
-    return False
+    if not any(key[3] for key, _ in nu.point + nv.point):
+        return _le(nu, nv)
+    return all(_le(_on_parity(nu, s), _on_parity(nv, s)) for s in (1, -1))
 
 
 def squeeze(

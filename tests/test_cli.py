@@ -332,6 +332,14 @@ class TestFailuresExit2:
         )
         assert err == "error: reference path is not a number at step n=0\n"
 
+    @pytest.mark.parametrize("f, neutrix", [
+        ("u/2 + u^2", "w^(307/2)*L"),
+        ("u/2 + u^2 + e^(-307/2)*L", "e*L"),
+    ], ids=["neutrix", "parameter"])
+    def test_unbounded_span_names_the_neutrix(self, capsys, f, neutrix):
+        err = self.assert_error(capsys, "recur", "--f", f, "--u0", "0", "--neutrix", neutrix, "--eps0", "1e-2")
+        assert err == "error: neutrix w^(307/2)*L has no interval at eps0=0.01: its width overflows a double\n"
+
     def test_field_with_a_neutrix(self, capsys):
         err = self.assert_error(
             capsys, "match", "--f", "y + o", "--eps", "1e-4", "--y0", "1", "--tmax", "1e-3"

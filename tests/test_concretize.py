@@ -148,6 +148,21 @@ class TestSampler:
         for k, j in enumerate(noisy):
             assert all(conc.contains(x, self.NUMBERS[j]) for x in block[:, k].ravel())
 
+    @pytest.mark.parametrize("index", range(len(NUMBERS)))
+    def test_neutrix_draws_are_sample_draws(self, conc, index):
+        # sample_neutrix draws what uniform(-r, r) drew before it went
+        # through sample: bit for bit, leaving the generator at the same place.
+        nx = self.NUMBERS[index].neutrix
+        rng, loop = conc.rng(44), conc.rng(44)
+        one = conc.sample_neutrix(nx, rng)
+        r = conc.radius(nx)
+        assert type(one) is float and one == (loop.uniform(-r, r) if r else 0.0)
+        for size in (1, 7, 1000):
+            got = conc.sample_neutrix(nx, rng, size=size)
+            want = loop.uniform(-r, r, size=size) if r else np.zeros(size)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.random() == loop.random()
+
     def test_unbounded_span_refused_naming_the_neutrix(self):
         conc = Concretization(eps0=1e-2)
         a = from_neutrix(pound(Fraction(-307, 2)))
@@ -185,11 +200,3 @@ class TestOrderSoundness:
             ys = conc.sample(b, rng, size=64)
             assert np.max(xs) < np.min(ys), (str(a), str(b))
         assert found > 30
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("FLEX_EPS0", "1e-4")
-        monkeypatch.setenv("FLEX_SEED", "99")
-        conc = Concretization.from_env()
-        assert conc.eps0 == 1e-4 and conc.seed == 99
-        conc2 = Concretization.from_env(seed=3)
-        assert conc2.seed == 3

@@ -1,10 +1,13 @@
+import itertools
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import support
-from flexnum import seq
+from flexnum import dsl, seq
 from flexnum.errors import HypothesisUnverified, Unnormalizable, ZerolessRequired
 from flexnum.extnum import from_neutrix, le, monomial, sub
 from flexnum.scale import MICRO, OSLASH, POUND, ZERO, oslash, pound
@@ -31,6 +34,11 @@ from flexnum.seq import (
     reindex,
     squeeze,
 )
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+sys.path.insert(0, os.path.abspath(PERFBENCH))
+
+import inputs  # noqa: E402
 
 one = monomial(1)
 u_term = Add(Div(Const(one), N), Const(from_neutrix(OSLASH)))  # 1/n + o
@@ -315,3 +323,61 @@ class TestSqueezeAndBounds:
     def test_every_convergent_term_eventually_bounded(self):
         for t in support.convergent_corpus(30, 37):
             assert eventually_bounded(t) is not None
+
+
+def _reindexed_route(u, v):
+    """u <= v decided on the subsequences n -> 2n and n -> 2n+1, where
+    (-1)^n is a constant: the route order questions took before they split
+    parity on the normal form.  None when a subsequence leaves the fragment."""
+    halves = [(reindex(u, 2, j), reindex(v, 2, j)) for j in (0, 1)]
+    try:
+        for a, b in halves:
+            normalize(a), normalize(b)
+    except Unnormalizable:
+        return None
+    return all(eventually_le(a, b) for a, b in halves)
+
+
+class TestParity:
+    @pytest.mark.parametrize("u, v, want", [
+        ("-1/n", "(-1)^n/n", True),
+        ("(-1)^n/n", "1/n", True),
+        ("1/n", "(-1)^n/n", False),  # fails on the odd indices only
+        ("(-1)^n", "1", True),
+        ("(-1)^n", "1/2", False),
+        ("2*(-1)^n + 1", "3", True),
+        ("(-1)^n/n + 1/n^2", "1/n", False),  # fails on the even indices only
+        ("(-1)^n + o", "1 + o", True),
+        ("(-1)^n*(1/2)^n", "(1/3)^n", False),
+        # On the even indices v - u = 1/(2n^2) - 1/n^2 + ...: the remainder
+        # bound of the quotient is as large as the leading difference.
+        ("(-1)^n/(1 + 1/n)", "(-1)^n*(1 - 1/n) + 1/(2*n^2)", False),
+        # Both were refused when n -> 2n+1 was normalized: the remainders of
+        # two quotients by 2n+1 do not cancel, and 2^(1/2) is irrational.
+        ("1/n", "(-1)^n/n + 2/n", True),
+        ("(-1)^n*n^(1/2)", "n^(1/2)", True),
+    ])
+    def test_each_parity_decides(self, u, v, want):
+        assert eventually_le(dsl.parse_seq(u), dsl.parse_seq(v)) is want
+
+    def test_no_remainder_bearing_subsequence(self):
+        # v_n > 1 >= (-1)^n.  Normalizing n -> 2n+1 divides by the reindexed
+        # 1 + 1/n, which carries a remainder bound, so that route refused.
+        u = dsl.parse_seq("(-1)^n")
+        for v in ("1 + 1/n/(1 + 1/n)", "1 + (1/2)^n/(1 + 1/n)"):
+            assert _reindexed_route(u, dsl.parse_seq(v)) is None
+            assert eventually_le(u, dsl.parse_seq(v))
+
+    def test_parity_rule_covers_the_reindexed_route(self):
+        rng = random.Random(5)
+        drawn = [
+            (support.rand_term(rng, rng.random() < 0.7), support.rand_term(rng, rng.random() < 0.7))
+            for _ in range(150)
+        ] + [(cu.term, cv.term) for cu, cv in itertools.islice(inputs.seq_questions(random.Random(9)), 150)]
+        alternating = 0
+        for u, v in drawn:
+            for a, b in ((u, v), (v, u)):
+                if _reindexed_route(a, b):
+                    assert eventually_le(a, b), (a, b)
+                    alternating += any(key[3] for key, _ in normalize(a).point + normalize(b).point)
+        assert alternating > 30

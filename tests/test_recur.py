@@ -433,9 +433,12 @@ class TestDrawOrder:
         assert got.evidence["route"] == "sampled falsification"
         assert repr(got.to_dict()) == repr(want.to_dict())
         params = spec.parameters()
-        # One 40-path stability run, then eight 16-path tolerance-scale runs.
+        # The 40 starting offsets inside the noise (none for zero noise), then
+        # one 40-path stability run and eight 16-path tolerance-scale runs.
+        noise = args[2]
+        within = [] if noise.is_zero else [(from_neutrix(noise), 40)]
         sizes = [40] + [16] * 8
-        assert log == [(a, size) for size in sizes for _ in range(spec.horizon) for a in params]
+        assert log == within + [(a, size) for size in sizes for _ in range(spec.horizon) for a in params]
 
     @pytest.mark.parametrize("case", CASES)
     def test_batch_matches_run_by_run(self, conc_coarse, case, monkeypatch):

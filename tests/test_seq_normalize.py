@@ -214,6 +214,10 @@ def test_each_question_normalizes_its_terms_once(monkeypatch):
     # v - u = o is inside its own noise, so containment decides u <= v.
     assert seq.eventually_le(Div(Const(one), N), u_term)
     assert len(calls) == 2
+    calls.clear()
+    # -1/n <= (-1)^n/n splits parity on the two forms it holds.
+    assert seq.eventually_le(Div(Const(monomial(-1)), N), Div(ALT, N))
+    assert len(calls) == 2
 
 
 def _answers(t):
