@@ -1054,8 +1054,8 @@ def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
 
 
 def _on_parity(nf: NormalForm, s: int) -> NormalForm:
-    """nf on the indices where (-1)^n = s: each alternating monomial becomes
-    s times its envelope, which is the same function of n as before."""
+    """nf on the indices where (-1)^n = s: each alternating monomial
+    c*e^q*n^r*b^n*(-1)^n becomes s*c*e^q*n^r*b^n there."""
     return _form(
         (((q, r, b, False), c * s if alt else c) for (q, r, b, alt), c in nf.point),
         nf.noise,
