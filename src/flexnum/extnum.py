@@ -23,6 +23,7 @@ comparison dunders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -122,10 +123,11 @@ class FormalSeries:
         """Truncated series inverse: terms absorbed by ``target`` are dropped.
 
         Exact for a single monomial.  Otherwise the geometric tail is expanded
-        until every further term of the inverse is absorbed by ``target``; if
-        ``target`` absorbs no power of e (it is {0} or the microhalo) the
-        quotient has no finite representation and UnrepresentableDivision is
-        raised.
+        until every further term of the inverse is absorbed by ``target``.
+        UnrepresentableDivision is raised when that takes more than
+        ``_MAX_INVERSE_ROUNDS`` powers, or when ``target`` absorbs no power
+        of e (it is {0} or the microhalo): then the quotient has no finite
+        representation.
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero series")
@@ -141,21 +143,29 @@ class FormalSeries:
             )
         # t has only positive exponents: self = lead * (1 + t).
         t = FormalSeries(self.terms[1:]).scaled(1 / c0, -q0)
+        # The m-th power of t starts at m*delta (delta its lowest exponent),
+        # a term no other product cancels, and lands at m*delta - q0 in the
+        # inverse: the expansion ends at the least m the target absorbs there.
+        if target.is_full:
+            rounds = 1
+        else:
+            bound = Fraction(target.q + q0) / t.terms[0][1]
+            rounds = max(1, math.ceil(bound) if target.kind is scale.Kind.POUND else math.floor(bound) + 1)
+        if rounds > _MAX_INVERSE_ROUNDS:
+            raise UnrepresentableDivision(
+                f"series inverse of {self} against neutrix {target} needs {rounds} rounds, "
+                f"more than {_MAX_INVERSE_ROUNDS}"
+            )
         out = FormalSeries.monomial(1, 0)
         power = out
-        for k in range(_MAX_INVERSE_ROUNDS):
-            # A relative term at exponent q lands at q - q0 in the inverse.
+        for k in range(rounds - 1):
             # The target absorbs every exponent above one it absorbs and t
             # only raises exponents, so a term dropped from a power never
             # feeds a kept term of a later power.
             power = power * t
             power = FormalSeries(tuple(tm for tm in power.terms if not target.absorbs(tm[1] - q0)))
-            if power.is_zero:
-                return lead_inv * out
             out = out + (-power if k % 2 == 0 else power)
-        raise UnrepresentableDivision(
-            f"series inverse of {self} does not terminate against neutrix {target}"
-        )
+        return lead_inv * out
 
     def eval(self, eps0: float) -> float:
         return float(sum(float(c) * eps0 ** float(q) for c, q in self.terms))

@@ -32,14 +32,9 @@ Eventual containment u_n ⊆ v_n has one test, ``_subset``: it decides
 :func:`eventually_subset` and strong convergence, which is eventual
 containment in the limit (u_n ⊆ lim u for all large n).
 
-A caller often asks several questions of one term.  A small memo (``_once``)
-remembers the normal form of a term, or its refusal, and the global limit
-report of a normal form, so each is computed once however many questions
-ask.  It holds at most 64 entries and is cleared when full.  It is keyed by
-the identity of the term or form, not by equality: identity never merges two
-distinct objects, costs nothing to hash, and a frozen term's own hash walks
-the whole tree recursively, which fails on deep terms.  An entry holds its
-key object, so the id is not reused while the entry lives.
+A term keeps its normal form (or its refusal) and a form its global limit
+report, so each is computed once however many questions ask, and is freed
+with the object that keeps it.
 
 The asymptotic semantics of "n -> oo" is two-level: globally n eventually
 dominates every power w^k of the scale, while on the segment of limited
@@ -509,14 +504,11 @@ def _factor_text(r: Rational, b: Rational, alt: bool) -> list:
 def _point_text(c: Fraction, q: Rational, r: Rational, b: Rational, alt: bool) -> str:
     head = _monomial_text(c, q, leading=True)
     factors = _factor_text(r, b, alt)
-    if factors and head == "1":
-        head = ""
-    elif factors and head == "-1":
-        head = "-"
+    if not factors:
+        return head
     joined = "*".join(factors)
-    if head and joined:
-        return f"{head}*{joined}"
-    return head + joined if (head or joined) else "1"
+    # A unit coefficient is written as a bare sign: n, -n^-1.
+    return head[:-1] + joined if head in ("1", "-1") else f"{head}*{joined}"
 
 
 def _noise_text(nx: Neutrix, r: Rational, b: Rational) -> str:
@@ -624,11 +616,17 @@ def _magnitudes(nf: NormalForm) -> Iterable[TKey]:
         if nx.is_full:
             raise Unnormalizable("cannot bound the full line inside a product tail")
         if nx.is_mono:
-            yield (_ONE, nx.q - (1 if nx.kind is scale.Kind.POUND else 0), r, b)
+            yield (_ONE, _mono_bound(nx), r, b)
         elif nx.is_micro:
             yield (_ONE, 10 ** 6, r, b)
     for (C, q, r, b) in nf.tails:
         yield (C, q, r, b)
+
+
+def _mono_bound(nx: Neutrix) -> Rational:
+    """An exponent p with the monomial neutrix nx below e^p: e^q*o lies
+    below e^q, and e^q*L below e^(q-1)."""
+    return nx.q - (1 if nx.kind is scale.Kind.POUND else 0)
 
 
 def _dominant_point(nf: NormalForm) -> Optional[Tuple[PKey, Fraction]]:
@@ -793,47 +791,24 @@ _NORMALIZE = {
 }
 
 
-def _normal_form(u: Term) -> NormalForm:
-    return fold(u, _NORMALIZE)
-
-
 def normalize(u: Term) -> NormalForm:
     """Decidable normal form of a grammar term.
 
     Raises Unnormalizable for terms outside the fragment (a denominator that
     is not eventually zeroless, fractional powers of sums, a divided
-    remainder that does not vanish).
+    remainder that does not vanish).  The term keeps its form, or its
+    refusal as type and arguments, raised afresh on every later ask.
     """
-    return _once(_normal_form, u)
-
-
-# (fn, id(x)) -> (x, value, refusal type, refusal args); see the module docstring.
-_MEMO: Dict[Tuple[Callable, int], tuple] = {}
-_MEMO_SIZE = 64
-
-
-def _once(fn: Callable, x):
-    """fn(x), computed once for the object x while the memo holds it.
-
-    A refusal is remembered as its type and arguments and raised afresh on
-    every hit; every other exception passes through and is not remembered.
-    """
-    key = (fn, id(x))
-    hit = _MEMO.get(key)
-    if hit is None:
-        if len(_MEMO) >= _MEMO_SIZE:
-            _MEMO.clear()
+    kept = u.__dict__.get("_nf")
+    if kept is None:
         try:
-            value = fn(x)
+            kept = u.__dict__["_nf"] = fold(u, _NORMALIZE)
         except Unnormalizable as exc:
-            _MEMO[key] = (x, None, type(exc), exc.args)
+            u.__dict__["_nf"] = (type(exc), exc.args)
             raise
-        _MEMO[key] = (x, value, None, ())
-        return value
-    _, value, refusal, args = hit
-    if refusal is not None:
-        raise refusal(*args)
-    return value
+    elif type(kept) is tuple:
+        raise kept[0](*kept[1])
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +867,15 @@ def n_limit(u: Term) -> LimitReport:
     oscillation of amplitude c*e^q forces the minimal neutrix up to e^q*L;
     a constant noise monomial survives as itself; growth in n diverges.
     """
-    return _once(_limit, normalize(u))
+    return _report(normalize(u))
+
+
+def _report(nf: NormalForm) -> LimitReport:
+    """The global limit report of a form, kept on the form."""
+    report = nf.__dict__.get("_report")
+    if report is None:
+        report = nf.__dict__["_report"] = _limit(nf)
+    return report
 
 
 def _limit(nf: NormalForm) -> LimitReport:
@@ -1148,7 +1131,7 @@ def eventually_bounded(u: Term) -> Optional[ExternalNumber]:
         if nx.is_full or _growth(r, b) > 0:
             return None
         if nx.is_mono:
-            lower_to(nx.q - (1 if nx.kind is scale.Kind.POUND else 0))
+            lower_to(_mono_bound(nx))
         # Micro sits below any monomial bound.
     for (C, q, r, b) in nf.tails:
         coeff += abs(C)
@@ -1187,7 +1170,7 @@ def is_cauchy(u: Term, nx: Neutrix) -> bool:
             if nox.is_full or growth > 0 or (growth == 0 and not nox <= nx):
                 direct = False
                 break
-    report = _once(_limit, nf)
+    report = _report(nf)
     derived = report.converges and report.minimal_neutrix <= nx
     if direct != derived:
         raise AssertionError(

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from flexnum import seq
 from flexnum.concretize import DEFAULT_EPS0S, Concretization
 
 settings.register_profile(
@@ -11,13 +10,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
-
-
-@pytest.fixture(autouse=True)
-def empty_seq_memo():
-    """Each test starts with an empty normalize/limit memo, so no answer of
-    one test is served from a form or report another test left behind."""
-    seq._MEMO.clear()
 
 
 @pytest.fixture(params=DEFAULT_EPS0S, ids=lambda e: f"eps0={e}")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import support
 from flexnum import dsl, seq
-from flexnum.errors import ParseError
+from flexnum.errors import ParseError, Unnormalizable
 from flexnum.extnum import from_neutrix, monomial
 from flexnum.scale import FULL, MICRO, OSLASH, pound
 from flexnum.seq import ALT, Const, Div, Geom, Index, Var
@@ -138,6 +138,25 @@ class TestRoundTrip:
                 assert seq.normalize(again) == seq.normalize(t), printed
             except Exception:
                 assert dsl.print_seq(again) == printed
+
+    def test_normal_form_text_parses_back(self):
+        # The point and noise monomials of a form print in the term grammar;
+        # a unit coefficient before n or b^n is a bare sign: -n^-1, not -*n^-1.
+        witness = seq.normalize(dsl.parse_seq("1/(1 + 1/n)"))
+        assert str(witness) == "-n^-1 + 1 + O(2*n^-2)"
+        rng = random.Random(13)
+        forms = [witness]
+        for _ in range(300):
+            try:
+                forms.append(seq.normalize(support.rand_term(rng, convergent=rng.random() < 0.5)))
+            except Unnormalizable:
+                continue
+        unit_signs = 0
+        for nf in forms:
+            exact = seq._form(nf.point, nf.noise)
+            assert seq.normalize(dsl.parse_seq(str(exact))) == exact, str(exact)
+            unit_signs += any(c == -1 and (r, b, alt) != (0, 1, False) for (_, r, b, alt), c in nf.point)
+        assert unit_signs > 1
 
 
 class TestFuzz:

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -241,7 +243,7 @@ def test_memo_hits_answer_like_misses():
         t = support.rand_term(rng, convergent=rng.random() < 0.5)
         if rng.random() < 0.4:
             t = Div(t, Add(Const(monomial(rng.randint(1, 4))), Div(Const(monomial(support.rand_coeff(rng), 1)), N)))
-        seq._MEMO.clear()
+        t = dataclasses.replace(t)  # a fresh root: it keeps no form yet
         miss = _answers(t)
         assert _answers(t) == miss, t
         # Without the memo: the fold and the limit of the fresh form.
@@ -267,10 +269,11 @@ def test_memo_raises_a_fresh_refusal_on_every_hit():
     assert str(caught[0]) == str(caught[1])
 
 
-def test_memo_keeps_one_form_per_term_and_stays_bounded():
+def test_memo_keeps_one_form_per_term_and_frees_it_with_the_term():
     t = Add(u_term, N)
     assert normalize(t) is normalize(t)
     assert normalize(Add(u_term, N)) is not normalize(t)
-    for k in range(1000):
-        normalize(Add(N, Const(monomial(k))))
-        assert len(seq._MEMO) <= seq._MEMO_SIZE
+    assert seq.n_limit(t) is seq.n_limit(t)
+    form, report = weakref.ref(normalize(t)), weakref.ref(seq.n_limit(t))
+    del t
+    assert form() is None and report() is None
