@@ -21,10 +21,13 @@ every term normalizes to a finite sum of
     noise monomials   N * n^r * b^n                    (N a neutrix, exact)
     tail bounds       O(C * e^q * n^r * b^n)           (from division only)
 
-and all limit questions are decided on that normal form.  ``_form`` is its
-one constructor: it sums like monomials, drops absorbed ones and sorts, so
-the form does not depend on operand order.  Each question normalizes its
-term once; the Cauchy test and the order relations reuse the form they hold.
+and all limit questions are decided on that normal form.  The form is
+canonical (sorted keys, like monomials summed, absorbed ones dropped), so it
+does not depend on operand order.  ``_form`` builds it from raw monomial
+lists: leaves, products and quotients; sums, negations, parity maps and
+constants merge or map parts that are canonical already.  Each question
+normalizes its term once; the Cauchy test and the order relations reuse the
+form they hold.
 Order questions decide alternation per parity, on that form: on the even and
 on the odd indices (-1)^n is a constant, so each alternating monomial
 becomes a plain one.
@@ -473,15 +476,20 @@ class NormalForm:
         return ExternalNumber(FormalSeries.from_terms(series), noise)
 
     def __str__(self) -> str:
-        bits = []
-        for (q, r, b, alt), c in self.point:
-            bits.append(_point_text(c, q, r, b, alt))
-        for (r, b), nx in self.noise:
-            bits.append(_noise_text(nx, r, b))
-        for (C, q, r, b) in self.tails:
-            bits.append("O(" + _point_text(C, q, r, b, False) + ")")
-        text = " + ".join(bits) if bits else "0"
-        return text + "  [for large n]" if self.trimmed else text
+        return _form_text(self.point, self.noise, self.tails, self.trimmed)
+
+
+def _form_text(point, noise, tails, trimmed: bool) -> str:
+    """The text of a normal form, from its parts."""
+    bits = []
+    for (q, r, b, alt), c in point:
+        bits.append(_point_text(c, q, r, b, alt))
+    for (r, b), nx in noise:
+        bits.append(_noise_text(nx, r, b))
+    for (C, q, r, b) in tails:
+        bits.append("O(" + _point_text(C, q, r, b, False) + ")")
+    text = " + ".join(bits) if bits else "0"
+    return text + "  [for large n]" if trimmed else text
 
 
 def _factor_text(r: Rational, b: Rational, alt: bool) -> list:
@@ -535,7 +543,10 @@ def _form(
     tails: Iterable[TKey] = (),
     trimmed: bool = False,
 ) -> NormalForm:
-    """The one constructor of a normal form: canonical, whatever the input order.
+    """A canonical normal form from raw monomial lists, whatever their order:
+    the constructor of leaves, products and quotients.  :func:`_nf_add`,
+    :func:`_nf_neg`, :func:`_on_parity` and :func:`_nf_const` build the same
+    form directly from parts that are already canonical.
 
     Like keys are summed and zero coefficients dropped.  A point monomial
     sharing its (r, b) envelope with a noise monomial that absorbs its
@@ -572,12 +583,56 @@ def _form(
 _ONE_NF = _form([((0, 0, 1, False), _ONE)])
 
 
+def _merge(xs: tuple, ys: tuple) -> list:
+    """Two key-sorted tuples of (key, value) pairs as one key-sorted list of
+    (key, x, y), where x or y is None when that side lacks the key."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (kx, x), (ky, y) = xs[i], ys[j]
+        if kx == ky:
+            out.append((kx, x, y))
+            i, j = i + 1, j + 1
+        elif kx < ky:
+            out.append((kx, x, None))
+            i += 1
+        else:
+            out.append((ky, None, y))
+            j += 1
+    return out + [(k, x, None) for k, x in xs[i:]] + [(k, None, y) for k, y in ys[j:]]
+
+
 def _nf_add(a: NormalForm, b: NormalForm) -> NormalForm:
-    return _form(a.point + b.point, a.noise + b.noise, a.tails + b.tails, a.trimmed or b.trimmed)
+    """a + b by merging the two canonical forms: equal keys are summed and
+    zero sums dropped.  Neutrices are totally ordered, so summed noise absorbs
+    what either operand's noise absorbs: a point or tail that its own form
+    kept is tested only against the other operand's noise, and a point of
+    both operands needs no test."""
+    noise = tuple((k, y if x is None else x if y is None else x + y) for k, x, y in _merge(a.noise, b.noise))
+    a_noise, b_noise = dict(a.noise), dict(b.noise)
+    point = []
+    for key, x, y in _merge(a.point, b.point):
+        if x is None:
+            nx, c = a_noise.get(key[1:3]), y
+        elif y is None:
+            nx, c = b_noise.get(key[1:3]), x
+        else:
+            nx, c = None, x + y
+        if c and (nx is None or not nx.absorbs(key[0])):
+            point.append((key, c))
+    tails = a.tails + b.tails
+    trimmed = a.trimmed or b.trimmed
+    if tails:
+        kept = [t for t in a.tails if not _point_in_noise(*t[1:], b.noise)]
+        kept += [t for t in b.tails if not _point_in_noise(*t[1:], a.noise)]
+        trimmed = trimmed or len(kept) < len(tails)
+        tails = tuple(sorted(kept))
+    return NormalForm(tuple(point), noise, tails, trimmed)
 
 
 def _nf_neg(a: NormalForm) -> NormalForm:
-    return _form(((k, -c) for k, c in a.point), a.noise, a.tails, a.trimmed)
+    """-a: the keys, the noise and the tails of a stay as they are."""
+    return NormalForm(tuple((k, -c) for k, c in a.point), a.noise, a.tails, a.trimmed)
 
 
 def _nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
@@ -755,13 +810,13 @@ def _nf_pow(a: NormalForm, k: Fraction) -> NormalForm:
     if k.denominator == 1:
         e = k.numerator
         if e >= 0:
-            out = _ONE_NF
-            for _ in range(e):
+            out = a if e else _ONE_NF
+            for _ in range(e - 1):
                 out = _nf_mul(out, a)
             return out
         return _nf_div(_ONE_NF, _nf_pow(a, Fraction(-e)))
     if a.noise or a.tails or len(a.point) != 1:
-        raise Unnormalizable(f"fractional power of a non-monomial sequence")
+        raise Unnormalizable("fractional power of a non-monomial sequence")
     (q, r, b, s), c = a.point[0]
     if s:
         raise Unnormalizable("fractional power of an alternating term")
@@ -773,9 +828,12 @@ def _nf_pow(a: NormalForm, k: Fraction) -> NormalForm:
 
 
 def _nf_const(c: Const) -> NormalForm:
-    return _form(
-        (((q, 0, 1, False), coeff) for coeff, q in c.value.rep.terms),
-        [((0, 1), c.value.neutrix)],
+    """The constant sequence c.  An external number is canonical already: its
+    exponents ascend and its neutrix absorbs none of its terms."""
+    nx = c.value.neutrix
+    return NormalForm(
+        tuple(((q, 0, 1, False), coeff) for coeff, q in c.value.rep.terms),
+        () if nx.is_zero else (((0, 1), nx),),
     )
 
 
@@ -823,11 +881,15 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class LimitReport:
+    """A limit verdict and its derivation.  ``steps`` is the witness text, or
+    the (template, args) lines that :attr:`witness` writes it from when read;
+    an argument (fn, *args) there stands for the text fn(*args)."""
+
     status: Status
     limit: Optional[ExternalNumber]
     minimal_neutrix: Optional[Neutrix]
     strong: bool
-    witness: str
+    steps: str | Tuple[Tuple[str, tuple], ...]
 
     def __post_init__(self):
         if (
@@ -845,6 +907,12 @@ class LimitReport:
     def converges(self) -> bool:
         return self.status is Status.CONVERGES
 
+    @property
+    def witness(self) -> str:
+        if type(self.steps) is str:
+            return self.steps
+        return "\n".join(t.format(*(a[0](*a[1:]) if type(a) is tuple else a for a in args)) for t, args in self.steps)
+
     def to_dict(self) -> dict:
         return {
             "status": self.status.value,
@@ -855,8 +923,13 @@ class LimitReport:
         }
 
 
-def _diverges(witness: str) -> LimitReport:
-    return LimitReport(Status.DIVERGES, None, None, False, witness)
+def _diverges(template: str, *args) -> LimitReport:
+    return LimitReport(Status.DIVERGES, None, None, False, ((template, args),))
+
+
+def _form_step(nf: NormalForm) -> tuple:
+    # The form's parts, not the form: the form keeps its report.
+    return ("normal form: {}", ((_form_text, nf.point, nf.noise, nf.tails, nf.trimmed),))
 
 
 def n_limit(u: Term) -> LimitReport:
@@ -884,38 +957,40 @@ def _limit(nf: NormalForm) -> LimitReport:
     The limit is strong when u_n eventually lies inside it, decided by the
     same ``_subset`` as :func:`eventually_subset`.
     """
-    lines = [f"normal form: {nf}"]
+    steps = [_form_step(nf)]
     rep_terms = []
     minimal = scale.ZERO
     for (q, r, b, alt), c in nf.point:
+        label = (_point_text, c, q, r, b, alt)
         growth = _growth(r, b)
         if growth > 0:
-            return _diverges(f"point term {_point_text(c, q, r, b, alt)} grows without bound")
+            return _diverges("point term {} grows without bound", label)
         if growth < 0:
-            lines.append(f"  {_point_text(c, q, r, b, alt)} vanishes")
+            steps.append(("  {} vanishes", (label,)))
             continue
         if alt:
-            minimal = minimal + scale.pound(q)
-            lines.append(f"  oscillation of amplitude {_rat_text(c)}*e^{q} -> minimal neutrix joins {scale.pound(q)}")
+            nx = scale.pound(q)
+            minimal = minimal + nx
+            steps.append(("  oscillation of amplitude {}*e^{} -> minimal neutrix joins {}", ((_rat_text, c), q, nx)))
         else:
             rep_terms.append((c, q))
-            lines.append(f"  constant term {_point_text(c, q, r, b, alt)} joins the representative")
+            steps.append(("  constant term {} joins the representative", (label,)))
     for (r, b), nx in nf.noise:
         if nx.is_full:
             return _diverges("the sequence is the full line at every index")
         growth = _growth(r, b)
         if growth > 0:
-            return _diverges(f"noise term {_noise_text(nx, r, b)} expands to the full line")
+            return _diverges("noise term {} expands to the full line", (_noise_text, nx, r, b))
         if growth < 0:
-            lines.append(f"  {_noise_text(nx, r, b)} shrinks to 0")
+            steps.append(("  {} shrinks to 0", ((_noise_text, nx, r, b),)))
             continue
         minimal = minimal + nx
-        lines.append(f"  constant noise {nx} survives")
+        steps.append(("  constant noise {} survives", (nx,)))
     # Tails vanish by construction.
     limit = ExternalNumber(FormalSeries.from_terms(rep_terms), minimal)
     strong = _subset(nf, _nf_const(Const(limit)))
-    lines.append(f"limit {limit}, minimal neutrix {minimal}, strong={strong}")
-    return LimitReport(Status.CONVERGES, limit, minimal, strong, "\n".join(lines))
+    steps.append(("limit {}, minimal neutrix {}, strong={}", (limit, minimal, strong)))
+    return LimitReport(Status.CONVERGES, limit, minimal, strong, tuple(steps))
 
 
 def n_converges(u: Term, alpha: ExternalNumber, nx: Neutrix) -> bool:
@@ -971,7 +1046,7 @@ def limit_arith(op: str, a: LimitReport, b: Optional[LimitReport] = None) -> Lim
         raise ValueError(f"unknown operation {op!r}")
     lim = ExternalNumber(lim.rep, lim.neutrix + k)
     return LimitReport(
-        Status.CONVERGES, lim, lim.neutrix, not lim.neutrix.is_zero, f"{op}: predicted neutrix {k}"
+        Status.CONVERGES, lim, lim.neutrix, not lim.neutrix.is_zero, (("{}: predicted neutrix {}", (op, k)),)
     )
 
 
@@ -1039,12 +1114,19 @@ def _nf_eventually_positive(d: NormalForm) -> Optional[bool]:
 def _on_parity(nf: NormalForm, s: int) -> NormalForm:
     """nf on the indices where (-1)^n = s: each alternating monomial
     c*e^q*n^r*b^n*(-1)^n becomes s*c*e^q*n^r*b^n there."""
-    return _form(
-        (((q, r, b, False), c * s if alt else c) for (q, r, b, alt), c in nf.point),
-        nf.noise,
-        nf.tails,
-        nf.trimmed,
-    )
+    point = []
+    for (q, r, b, alt), c in nf.point:
+        key = (q, r, b, False)
+        if alt:
+            c = c * s
+            # Keys sort with the alternating flag last, so a plain twin comes
+            # just before; as in _nf_add, their sum needs no absorption test.
+            if point and point[-1][0] == key:
+                c = point.pop()[1] + c
+                if not c:
+                    continue
+        point.append((key, c))
+    return NormalForm(tuple(point), nf.noise, nf.tails, nf.trimmed)
 
 
 def _le(nu: NormalForm, nv: NormalForm) -> bool:
@@ -1259,61 +1341,62 @@ def limit_wrt_segment(u: Term, seg: Segment) -> LimitReport:
             value,
             value.neutrix,
             True,
-            f"finite segment: value at n={seg.bound}",
+            (("finite segment: value at n={}", (seg.bound,)),),
         )
     nf = normalize(u)
     q0 = seg.q if seg.kind in (SegmentKind.HALO, SegmentKind.GALAXY) else Fraction(0)
     halo = seg.kind is SegmentKind.HALO
-    lines = [f"normal form: {nf}", f"segment regime: {seg}"]
+    steps = [_form_step(nf), ("segment regime: {}", (seg,))]
     rep_terms = []
     minimal = scale.ZERO
 
-    def join(nx: Neutrix, reason: str):
+    def join(nx: Neutrix, template: str, *args):
         nonlocal minimal
         minimal = minimal + nx
-        lines.append("  " + reason)
+        steps.append(("  " + template, args))
 
     for (q, r, b, alt), c in nf.point:
-        label = _point_text(c, q, r, b, alt)
+        label = (_point_text, c, q, r, b, alt)
         if b != 1:
             if b > 1 and q0 > 0:
-                return _diverges(f"{label} runs through every scale on {seg}")
+                return _diverges("{} runs through every scale on {}", label, seg)
             if q0 > 0:
-                join(scale.MICRO, f"{label} drops below every scale: microhalo")
+                join(scale.MICRO, "{} drops below every scale: microhalo", label)
             else:
-                join(scale.pound(q) if b > 1 else scale.oslash(q), f"{label} moves through appreciable multiples of e^{q}")
+                join(scale.pound(q) if b > 1 else scale.oslash(q), "{} moves through appreciable multiples of e^{}", label, q)
             continue
         if r == 0:
             if alt:
-                join(scale.pound(q), f"{label}: oscillation at scale e^{q}")
+                join(scale.pound(q), "{}: oscillation at scale e^{}", label, q)
             else:
                 rep_terms.append((c, q))
-                lines.append(f"  constant {label} joins the representative")
+                steps.append(("  constant {} joins the representative", (label,)))
             continue
         shift = q - q0 * r
         if r < 0:
             kind = scale.pound(shift) if halo else scale.oslash(shift)
-            join(kind, f"{label} approaches scale e^{shift} from above" if halo else f"{label} vanishes through scale e^{shift}")
+            join(kind, "{} approaches scale e^{} from above" if halo else "{} vanishes through scale e^{}", label, shift)
         else:
             kind = scale.oslash(shift) if halo else scale.pound(shift)
-            join(kind, f"{label} fills scale e^{shift} from below" if halo else f"{label} grows through limited multiples of e^{shift}")
+            join(kind, "{} fills scale e^{} from below" if halo else "{} grows through limited multiples of e^{}", label, shift)
     for (r, b), nx in nf.noise:
-        label = _noise_text(nx, r, b)
+        label = (_noise_text, nx, r, b)
         if nx.is_full:
             return _diverges("full-line noise on the segment")
         if b != 1:
             if b > 1 and q0 > 0:
-                return _diverges(f"{label} expands through every scale on {seg}")
-            join(scale.MICRO if q0 > 0 else nx, f"{label} under geometric factor")
+                return _diverges("{} expands through every scale on {}", label, seg)
+            join(scale.MICRO if q0 > 0 else nx, "{} under geometric factor", label)
             continue
         if r == 0 or q0 == 0:
-            join(nx, f"noise {label} is scale-invariant on {seg}")
+            join(nx, "noise {} is scale-invariant on {}", label, seg)
             continue
+        shift = -q0 * r
         if halo:
-            factor = scale.oslash(-q0 * r) if r > 0 else scale.pound(-q0 * r)
-            join(nx * factor, f"noise {label} scaled by the segment regime")
+            factor = scale.oslash(shift) if r > 0 else scale.pound(shift)
+            join(nx * factor, "noise {} scaled by the segment regime", label)
         else:
-            join(nx.scaled(1, -q0 * r), f"noise {label} shifted by e^{-q0 * r}")
+            join(nx.scaled(1, shift), "noise {} shifted by e^{}", label, shift)
     for (C, q, r, b) in nf.tails:
         # Remainder envelopes vanish in n; bound their segment contribution.
         if b != 1:
@@ -1321,5 +1404,5 @@ def limit_wrt_segment(u: Term, seg: Segment) -> LimitReport:
         elif r < 0:
             join(scale.pound(q - q0 * r) if halo else scale.oslash(q - q0 * r), "remainder envelope bound")
     limit = ExternalNumber(FormalSeries.from_terms(rep_terms), minimal)
-    lines.append(f"limit {limit} on {seg}; entry on or just beyond the segment")
-    return LimitReport(Status.CONVERGES, limit, minimal, True, "\n".join(lines))
+    steps.append(("limit {} on {}; entry on or just beyond the segment", (limit, seg)))
+    return LimitReport(Status.CONVERGES, limit, minimal, True, tuple(steps))

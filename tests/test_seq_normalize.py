@@ -1,12 +1,18 @@
 import dataclasses
+import gc
+import itertools
+import os
 import random
+import sys
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject
 
+import strategies as strat
 import support
-from flexnum import seq
+from flexnum import dsl, seq
 from flexnum.errors import EvalDomain, Unnormalizable
 from flexnum.extnum import from_neutrix, monomial
 from flexnum.scale import MICRO, OSLASH, POUND, oslash, pound
@@ -25,6 +31,11 @@ from flexnum.seq import (
     normalize,
     reindex,
 )
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+sys.path.insert(0, os.path.abspath(PERFBENCH))
+
+import inputs  # noqa: E402
 
 one = monomial(1)
 u_term = Add(Div(Const(one), N), Const(from_neutrix(OSLASH)))  # 1/n + o
@@ -270,10 +281,88 @@ def test_memo_raises_a_fresh_refusal_on_every_hit():
 
 
 def test_memo_keeps_one_form_per_term_and_frees_it_with_the_term():
-    t = Add(u_term, N)
-    assert normalize(t) is normalize(t)
-    assert normalize(Add(u_term, N)) is not normalize(t)
-    assert seq.n_limit(t) is seq.n_limit(t)
-    form, report = weakref.ref(normalize(t)), weakref.ref(seq.n_limit(t))
-    del t
-    assert form() is None and report() is None
+    # With the cycle collector off, only reference counts free them: a report
+    # that held its own form would keep both alive.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = Add(u_term, ALT)
+        assert normalize(t) is normalize(t)
+        assert normalize(Add(u_term, ALT)) is not normalize(t)
+        assert seq.n_limit(t) is seq.n_limit(t)
+        assert "n^-1 vanishes" in seq.n_limit(t).witness
+        form, report = weakref.ref(normalize(t)), weakref.ref(seq.n_limit(t))
+        del t
+        assert form() is None and report() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _check_merges(a, b):
+    """The merged sum, negation and parity maps equal _form of the
+    concatenated, negated or parity-mapped parts."""
+    pairs = [
+        (seq._nf_add(a, b), seq._form(a.point + b.point, a.noise + b.noise, a.tails + b.tails, a.trimmed or b.trimmed)),
+        (seq._nf_neg(a), seq._form(((k, -c) for k, c in a.point), a.noise, a.tails, a.trimmed)),
+    ]
+    for s in (1, -1):
+        mapped = (((q, r, bb, False), c * s if alt else c) for (q, r, bb, alt), c in a.point)
+        pairs.append((seq._on_parity(a, s), seq._form(mapped, a.noise, a.tails, a.trimmed)))
+    for got, want in pairs:
+        assert got == want and str(got) == str(want), (str(a), str(b))
+
+
+@given(strat.seq_terms(), strat.seq_terms())
+def test_merged_arithmetic_equals_the_rebuilt_form(u, v):
+    try:
+        a, b = normalize(u), normalize(v)
+    except Unnormalizable:
+        reject()
+    _check_merges(a, b)
+    _check_merges(a, seq._nf_neg(a))
+
+
+@given(strat.externals(allow_full=True))
+def test_constant_forms_are_built_canonical(x):
+    want = seq._form((((q, 0, 1, False), c) for c, q in x.rep.terms), [((0, 1), x.neutrix)])
+    assert seq._nf_const(Const(x)) == want
+
+
+def test_merged_arithmetic_on_benchmark_terms():
+    forms = []
+    for cu, cv in itertools.islice(inputs.seq_questions(random.Random(13)), 150):
+        for t in (cu.term, cv.term):
+            try:
+                forms.append(normalize(t))
+            except Unnormalizable:
+                pass
+    for a, b in zip(forms, forms[1:] + forms[:1]):
+        _check_merges(a, b)
+        _check_merges(a, seq._nf_neg(a))
+
+
+def _parity(text, s):
+    return seq._on_parity(normalize(dsl.parse_seq(text)), s)
+
+
+@pytest.mark.parametrize("left, right, holds", [
+    # A tail inside the other operand's noise is dropped and trims the sum.
+    ("1/(1 + 1/n)", "o/n", lambda nf: nf.trimmed and not nf.tails),
+    ("(w^5 + w^2*L)/(n + 3)", "n", lambda nf: nf.trimmed),
+    ("1/n + e*(-1)^n + 2 + e*L/n", "-1/n - e*(-1)^n - 2", lambda nf: not nf.point and nf.noise),
+    # 2 and e*n lie in the other operand's L and o*n.
+    ("1/n + 2 + e*n", "L + o*n", lambda nf: [k for k, _ in nf.point] == [(0, -1, 1, False)]),
+])
+def test_merged_sums_on_chosen_forms(left, right, holds):
+    a, b = normalize(dsl.parse_seq(left)), normalize(dsl.parse_seq(right))
+    _check_merges(a, b)
+    _check_merges(b, a)
+    assert holds(seq._nf_add(a, b)) and holds(seq._nf_add(b, a))
+
+
+def test_alternating_twins_merge_on_each_parity():
+    twins = "3/n + (-1)^n/n + (-1)^n*e - e + e*L/n^2"
+    _check_merges(normalize(dsl.parse_seq(twins)), normalize(dsl.parse_seq("o/n^2")))
+    assert str(_parity(twins, 1)) == "4*n^-1 + e*L*n^-2"
+    assert str(_parity(twins, -1)) == "2*n^-1 + -2*e + e*L*n^-2"
