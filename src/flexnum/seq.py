@@ -608,7 +608,9 @@ def _nf_add(a: NormalForm, b: NormalForm) -> NormalForm:
     what either operand's noise absorbs: a point or tail that its own form
     kept is tested only against the other operand's noise, and a point of
     both operands needs no test."""
-    noise = tuple((k, y if x is None else x if y is None else x + y) for k, x, y in _merge(a.noise, b.noise))
+    # Forms are built as tuple(list): tuple(generator) resizes its result, and
+    # freed resized tuples fill CPython's tuple free lists (peak memory).
+    noise = tuple([(k, y if x is None else x if y is None else x + y) for k, x, y in _merge(a.noise, b.noise)])
     a_noise, b_noise = dict(a.noise), dict(b.noise)
     point = []
     for key, x, y in _merge(a.point, b.point):
@@ -632,7 +634,7 @@ def _nf_add(a: NormalForm, b: NormalForm) -> NormalForm:
 
 def _nf_neg(a: NormalForm) -> NormalForm:
     """-a: the keys, the noise and the tails of a stay as they are."""
-    return NormalForm(tuple((k, -c) for k, c in a.point), a.noise, a.tails, a.trimmed)
+    return NormalForm(tuple([(k, -c) for k, c in a.point]), a.noise, a.tails, a.trimmed)
 
 
 def _nf_mul(a: NormalForm, b: NormalForm) -> NormalForm:
@@ -832,7 +834,7 @@ def _nf_const(c: Const) -> NormalForm:
     exponents ascend and its neutrix absorbs none of its terms."""
     nx = c.value.neutrix
     return NormalForm(
-        tuple(((q, 0, 1, False), coeff) for coeff, q in c.value.rep.terms),
+        tuple([((q, 0, 1, False), coeff) for coeff, q in c.value.rep.terms]),
         () if nx.is_zero else (((0, 1), nx),),
     )
 
@@ -911,7 +913,7 @@ class LimitReport:
     def witness(self) -> str:
         if type(self.steps) is str:
             return self.steps
-        return "\n".join(t.format(*(a[0](*a[1:]) if type(a) is tuple else a for a in args)) for t, args in self.steps)
+        return "\n".join(t.format(*[a[0](*a[1:]) if type(a) is tuple else a for a in args]) for t, args in self.steps)
 
     def to_dict(self) -> dict:
         return {
