@@ -11,7 +11,8 @@ Every path (sampled, reference or perturbed) advances through one step
 loop, :func:`_run`, with one overflow rule: a step is refused unless every
 value has magnitude at most 1e300, and the refusal says whether the step
 left the reals (nan) or double range.  A run draws all its steps as one
-block; the stability check batches its nine runs as columns of one run.
+block; the stability check batches its ten runs as columns of one run: the
+reference path first, then the stability run and eight tolerance-scale runs.
 
 Stability verdicts are honest about semi-decidability: only the affine
 analysis yields Proven; sampling can merely falsify, and otherwise reports
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import scale
 from .concretize import Concretization
-from .errors import ContractionRequired, NumericOverflow
+from .errors import ContractionRequired, FlexError, NumericOverflow
 from .extnum import ExternalNumber, from_neutrix, monomial, sub
 from .extnum import div as ext_div
 from .extnum import lt as ext_lt
@@ -98,27 +99,33 @@ def _summands(f: Term) -> List[Term]:
 
 
 def _run(step: Callable, values: np.ndarray, n0: int, centers: List[float], noisy: List[int],
-         blocks: Callable, what: str, groups: Sequence[slice] = (slice(None),)) -> None:
+         blocks: Callable, groups: Sequence[Tuple[str, slice]]) -> None:
     """Fill rows 1.. of ``values`` from row 0: row i+1 is step(n, row i, draws)
     with n = n0 + i; precise parameters draw their centers, and parameter
     ``noisy[k]`` draws row k of ``blocks(i)``.
 
     A step is refused unless every value has magnitude at most ``_OVERFLOW``,
     a test that inf and nan fail too; a step holding a nan left the reals
-    rather than double range, and says so.  ``groups`` are runs batched as
-    columns, in the order they would go in turn: the first group with a bad
-    step is refused, at its first bad step.
+    rather than double range, and says so.  ``groups`` are named runs batched
+    as columns, in the order they would go in turn: only the first stops the
+    loop, and the first group with a bad step is refused, at its first bad
+    step.  A float ``OverflowError`` in a step (``b ** n`` of a geometric
+    leaf) is the same in every column, and is refused as the first group's.
     """
     draws = [np.full(values.shape[1], c, dtype=float) for c in centers]
+    first = values[:, groups[0][1]]
     with np.errstate(all="ignore"):
         for i in range(len(values) - 1):
             for j, row in zip(noisy, blocks(i)):
                 draws[j] = row
-            values[i + 1] = step(n0 + i, values[i], draws)
-            if not (np.abs(values[i + 1, groups[0]]) <= _OVERFLOW).all():
+            try:
+                values[i + 1] = step(n0 + i, values[i], draws)
+            except OverflowError:
+                raise NumericOverflow(f"{groups[0][0]} left double range at step n={n0 + i}") from None
+            if not (np.abs(first[i + 1]) <= _OVERFLOW).all():
                 break  # the first group is named here; the rows past it stay unset
         ok = np.abs(values[1:]) <= _OVERFLOW
-    for cols in groups:
+    for what, cols in groups:
         bad = ~ok[:, cols].all(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
@@ -169,15 +176,14 @@ def sample_paths(
         summands = [_compile(t, params) for t in _summands(spec.f)]
 
         def step(n, u, draws):
-            total = np.zeros_like(u)
-            err = np.zeros_like(u)
-            for fn in summands:
+            # Neumaier: err accumulates the rounding of each addition.  The
+            # first summand is exact: its error is 0, or nan if it is inf or nan.
+            x = summands[0](n, u, draws)
+            total, err = x + 0.0, x - x
+            for fn in summands[1:]:
                 x = fn(n, u, draws)
-                # Neumaier: accumulate the rounding of each addition.
                 t = total + x
-                big = np.where(np.abs(total) >= np.abs(x), total, x)
-                small = np.where(np.abs(total) >= np.abs(x), x, total)
-                err += (big - t) + small
+                err += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
                 total = t
             return total + err
 
@@ -187,7 +193,7 @@ def sample_paths(
     # Fresh draws per step and per occurrence, all steps in one block.
     centers, noisy, draw = conc.drawer(params)
     block = draw(rng, h, count)
-    _run(step, values, spec.n0, centers, noisy, block.__getitem__, "path")
+    _run(step, values, spec.n0, centers, noisy, block.__getitem__, [("path", slice(None))])
     draws = [block[:, noisy.index(j)] if j in noisy else np.broadcast_to(c, (h, count))
              for j, c in enumerate(centers)]
     return PathSet(spec.n0, values, tuple(draws))
@@ -365,7 +371,8 @@ def reference_path(spec: RecurrenceSpec, conc: Concretization) -> np.ndarray:
     fn = _compile(spec.f, params)
     values = np.empty((spec.horizon + 1, 1))
     values[0] = conc.center(spec.u0)
-    _run(fn, values, spec.n0, [conc.center(p) for p in params], [], lambda i: (), "reference path")
+    _run(fn, values, spec.n0, [conc.center(p) for p in params], [], lambda i: (),
+         [("reference path", slice(None))])
     return values[:, 0]
 
 
@@ -446,10 +453,6 @@ def _classify_sampled(
     samples: int,
     seed: int,
 ) -> StabilityVerdict:
-    ref = reference_path(
-        RecurrenceSpec(spec.f, reference, spec.horizon, spec.n0), conc
-    )
-    r_noise = conc.radius(noise)
     evidence: Dict[str, object] = {
         "route": "sampled falsification",
         "samples": samples,
@@ -458,20 +461,32 @@ def _classify_sampled(
     rng = np.random.default_rng([conc.seed, seed, 7])
     params: List[ExternalNumber] = []
     fn = _compile(spec.f, params)
-    centers, noisy, draw = conc.drawer(params)
-    h, k = spec.horizon, len(noisy)
-    # The stability run's columns, then 16 per tolerance scale, drawn in turn;
-    # the scales' eight (h, k, 16) blocks are one stream, held as (h, k, 128).
-    within = conc.sample_neutrix(noise, rng, size=samples)
+    h = spec.horizon
+    # Column 0 is the reference path, every parameter at its center; then the
+    # stability run's columns and 16 per tolerance scale, drawn in turn.  The
+    # scales' eight (h, k, 16) blocks are one stream, held as (h, k, 128).
+    diffs = np.empty((h + 1, 1 + samples + 128))
+    diffs[0, 0] = conc.center(reference)
+    try:
+        r_noise = conc.radius(noise)
+        centers, noisy, draw = conc.drawer(params)
+        k = len(noisy)
+        within = conc.sample_neutrix(noise, rng, size=samples)
+        stab = draw(rng, h, samples)
+        scales = draw(rng, 8 * h, 16).reshape(8, h, k, 16).transpose(1, 2, 0, 3).reshape(h, k, 128)
+    except FlexError:
+        # The reference path's own refusal comes first, as when it ran alone.
+        reference_path(RecurrenceSpec(spec.f, reference, h, spec.n0), conc)
+        raise
+    at_center = np.array(centers, dtype=float)[noisy, None]
     grid = np.geomspace(max(r_noise * 4.0, conc.eps0 ** 12), 0.5, num=8)
-    stab = draw(rng, h, samples)
-    scales = draw(rng, 8 * h, 16).reshape(8, h, k, 16).transpose(1, 2, 0, 3).reshape(h, k, 128)
-    groups = [slice(0, samples)] + [slice(samples + 16 * g, samples + 16 * g + 16) for g in range(8)]
-    diffs = np.empty((h + 1, samples + 128))
-    diffs[0] = ref[0] + np.concatenate([within] + [np.full(16, s * 0.5) for s in grid])
-    _run(fn, diffs, spec.n0, centers, noisy, lambda i: np.concatenate((stab[i], scales[i]), axis=1),
-         "perturbed path", groups)
-    diffs -= ref[:, None]
+    diffs[0, 1:] = diffs[0, 0] + np.concatenate([within] + [np.full(16, s * 0.5) for s in grid])
+    groups = [("reference path", slice(0, 1)), ("perturbed path", slice(1, 1 + samples))]
+    groups += [("perturbed path", slice(1 + samples + 16 * g, 17 + samples + 16 * g)) for g in range(8)]
+    _run(fn, diffs, spec.n0, centers, noisy, lambda i: np.concatenate((at_center, stab[i], scales[i]), axis=1),
+         groups)
+    ref, diffs = diffs[:, :1], diffs[:, 1:]
+    diffs -= ref
 
     # Stability: perturbations inside the noise interval must stay inside an
     # appreciable multiple of it.

@@ -24,10 +24,10 @@ every term normalizes to a finite sum of
 and all limit questions are decided on that normal form.  The form is
 canonical (sorted keys, like monomials summed, absorbed ones dropped), so it
 does not depend on operand order.  ``_form`` builds it from raw monomial
-lists: leaves, products and quotients; sums, negations, parity maps and
-constants merge or map parts that are canonical already.  Each question
-normalizes its term once; the Cauchy test and the order relations reuse the
-form they hold.
+lists: products and quotients; sums, negations, parity maps and constants
+merge or map parts that are canonical already, and a leaf is one monomial.
+Each question normalizes its term once; the Cauchy test and the order
+relations reuse the form they hold.
 Order questions decide alternation per parity, on that form: on the even and
 on the odd indices (-1)^n is a constant, so each alternating monomial
 becomes a plain one.
@@ -544,9 +544,9 @@ def _form(
     trimmed: bool = False,
 ) -> NormalForm:
     """A canonical normal form from raw monomial lists, whatever their order:
-    the constructor of leaves, products and quotients.  :func:`_nf_add`,
-    :func:`_nf_neg`, :func:`_on_parity` and :func:`_nf_const` build the same
-    form directly from parts that are already canonical.
+    the constructor of products and quotients.  :func:`_nf_add`,
+    :func:`_nf_neg`, :func:`_on_parity`, :func:`_nf_const` and the leaves
+    build the same form directly from parts that are already canonical.
 
     Like keys are summed and zero coefficients dropped.  A point monomial
     sharing its (r, b) envelope with a noise monomial that absorbs its
@@ -841,9 +841,10 @@ def _nf_const(c: Const) -> NormalForm:
 
 _NORMALIZE = {
     Const: _nf_const,
-    Index: lambda _: _form([((0, 1, 1, False), _ONE)]),
-    AltSign: lambda _: _form([((0, 0, 1, True), _ONE)]),
-    Geom: lambda g: _form([((0, 0, exact(g.base), False), _ONE)]),
+    # A leaf is one monomial of coefficient 1: canonical as it stands.
+    Index: lambda _: NormalForm((((0, 1, 1, False), _ONE),)),
+    AltSign: lambda _: NormalForm((((0, 0, 1, True), _ONE),)),
+    Geom: lambda g: NormalForm((((0, 0, exact(g.base), False), _ONE),)),
     Add: lambda _, a, b: _nf_add(a, b),
     Mul: lambda _, a, b: _nf_mul(a, b),
     Div: lambda _, a, b: _nf_div(a, b),

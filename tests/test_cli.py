@@ -332,6 +332,13 @@ class TestFailuresExit2:
         )
         assert err == "error: reference path is not a number at step n=0\n"
 
+    def test_float_overflow_of_a_geometric_leaf(self, capsys):
+        # (3/2)^n is a Python float, which raises rather than turning inf.
+        err = self.assert_error(
+            capsys, "recur", "--f", "u/2 + (3/2)^n*e*L", "--u0", "0", "--neutrix", "e*L", "--horizon", "2000",
+        )
+        assert err == "error: reference path left double range at step n=1751\n"
+
     @pytest.mark.parametrize("f, neutrix", [
         ("u/2 + u^2", "w^(307/2)*L"),
         ("u/2 + u^2 + e^(-307/2)*L", "e*L"),

@@ -96,6 +96,59 @@ class TestPaths:
                 assert np.all(np.abs(drawn - conc_coarse.center(leaf)) <= conc_coarse.radius(leaf.neutrix))
             assert np.allclose(q.values, p.values, rtol=1e-12)
 
+    @staticmethod
+    def two_where_sum(xs):
+        """The Neumaier sum as first written: from zero, with the larger and
+        the smaller operand of each addition picked by two np.where calls."""
+        total = np.zeros_like(xs[0])
+        err = np.zeros_like(xs[0])
+        for x in xs:
+            t = total + x
+            big = np.where(np.abs(total) >= np.abs(x), total, x)
+            small = np.where(np.abs(total) >= np.abs(x), x, total)
+            err += (big - t) + small
+            total = t
+        return total + err
+
+    @staticmethod
+    def compensated_step(monkeypatch, conc, f):
+        """The step that sample_paths(compensated=True) hands to its run."""
+        steps = []
+        run = recur._run
+        monkeypatch.setattr(recur, "_run", lambda step, *rest: (steps.append(step), run(step, *rest)))
+        sample_paths(RecurrenceSpec(f, one, horizon=0), conc, count=1, seed=1, compensated=True)
+        return steps[0]
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_compensated_step_matches_two_where_sum(self, conc_coarse, monkeypatch, k):
+        # u plus k - 1 parameters, each summand running over every value
+        # below against every value of the others: inf, nan and -0.0 too.
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1.0, -1.0, 3.0, 1e308, -1e308, 5e-324, 2.0 ** 53 + 2]
+        grid = [g.ravel() for g in np.meshgrid(*[np.array(special)] * k, indexing="ij")]
+        f = Var("u")
+        for _ in range(k - 1):
+            f = Add(f, Const(monomial(0)))
+        step = self.compensated_step(monkeypatch, conc_coarse, f)
+        with np.errstate(all="ignore"):  # as inside a run
+            got, want = step(0, grid[0], grid[1:]), self.two_where_sum(grid)
+        assert got.tobytes() == want.tobytes()
+
+    def test_compensated_paths_match_two_where_sum(self, conc_coarse):
+        # The benchmark's affine family, and a lone summand.
+        rng = random.Random(5)
+        specs = [RecurrenceSpec(Mul(Const(monomial(Fraction(1, 2)) + from_neutrix(OSLASH)), Var("u")), one, 30)]
+        for _ in range(4):
+            case = inputs.numeric_case(rng, 8)
+            specs.append(affine_spec(case.affine_alpha, case.affine_noise, case.affine_u0, horizon=30))
+        for spec in specs:
+            paths = sample_paths(spec, conc_coarse, count=50, seed=3, compensated=True)
+            params = []
+            summands = [recur._compile(t, params) for t in recur._summands(spec.f)]
+            for i in range(spec.horizon):
+                draws = [d[i] for d in paths.draws]
+                want = self.two_where_sum([fn(spec.n0 + i, paths.values[i], draws) for fn in summands])
+                assert paths.values[i + 1].tobytes() == want.tobytes()
+
     def test_step_identity_recorded(self, conc_coarse):
         alpha = monomial(Fraction(1, 2)) + from_neutrix(OSLASH)
         spec = affine_spec(alpha, pound(1), one, horizon=20)
@@ -442,7 +495,7 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("case", CASES)
     def test_batch_matches_run_by_run(self, conc_coarse, case, monkeypatch):
-        _, args = self.case_args(case, conc_coarse)
+        spec, args = self.case_args(case, conc_coarse)
         batches = []
 
         def spy(step, values, *rest):
@@ -450,26 +503,40 @@ class TestDrawOrder:
             batches.append(values.copy())
 
         want, paths = self.run_by_run(*args, samples=40, seed=5)
+        ref = reference_path(RecurrenceSpec(spec.f, args[1], spec.horizon, spec.n0), conc_coarse)
         run = recur._run
         monkeypatch.setattr(recur, "_run", spy)
         got = classify_stability(*args, samples=40, seed=5)
         assert repr(got.to_dict()) == repr(want.to_dict())
-        # The reference path, then the batch: every value of every run, bit for bit.
-        assert len(batches) == 2 and batches[1].tobytes() == paths.tobytes()
+        # One run: the reference path in column 0, then every value of every
+        # perturbed run, bit for bit.
+        assert len(batches) == 1
+        assert batches[0][:, 0].tobytes() == ref.tobytes()
+        assert batches[0][:, 1:].tobytes() == paths.tobytes()
+
+    # The reference path and the horizon, where not 0 and 200.  From 1 the
+    # stability runs leave double range early, and the reference meets the
+    # float overflow of (3/2)^n at n=1751.  From 2 the reference leaves double
+    # range at n=9, and the radius of e^(-400)*L overflows a double.
+    STARTS = {"u^2 + (3/2)^n*e*L": (1, 1800), "u^2 + e^(-400)*L": (2, 200)}
 
     # With zero noise the stability run stays at 0 and only the last scale
-    # escapes.  In the last case the scales' runs are nan from n=0, and the
+    # escapes.  In the sixth case the scales' runs are nan from n=0, and the
     # stability run, first in order, leaves double range at n=1 without a nan.
+    # In the last two the reference path's refusal wins.
     @pytest.mark.parametrize("f, noise", [
         ("u + u^2", pound(1)), ("u + u^2", ZERO), ("u + u^2 + e*L", pound(1)),
         ("u*u*u*1000 + e*L", pound(1)), ("u^(1/2) + e*L", pound(1)),
         ("u^8 + 0*(u^2*((u - 1/10)^2 - 1/25))^(1/2)", pound(-2)),
+        ("u^2 + (3/2)^n*e*L", pound(1)), ("u^2 + e^(-400)*L", pound(1)),
     ], ids=str)
     def test_batch_refuses_as_run_by_run(self, conc_coarse, f, noise):
-        spec = RecurrenceSpec(parse_recur_rhs(f), monomial(0), horizon=200)
-        args = (spec, monomial(0), noise, conc_coarse)
+        start, horizon = self.STARTS.get(f, (0, 200))
+        spec = RecurrenceSpec(parse_recur_rhs(f), monomial(start), horizon=horizon)
+        args = (spec, monomial(start), noise, conc_coarse)
         with pytest.raises(NumericOverflow) as want:
             self.run_by_run(*args, samples=200, seed=1)
+        assert str(want.value).startswith("reference path ") == (f in self.STARTS)
         with pytest.raises(NumericOverflow, match=f"^{re.escape(str(want.value))}$"):
             classify_stability(*args, samples=200, seed=1)
 

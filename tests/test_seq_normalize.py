@@ -329,6 +329,16 @@ def test_constant_forms_are_built_canonical(x):
     assert seq._nf_const(Const(x)) == want
 
 
+@pytest.mark.parametrize("leaf, key", [
+    (N, (0, 1, 1, False)), (ALT, (0, 0, 1, True)), (Geom(1), (0, 0, 1, False)),
+    (Geom(2), (0, 0, 2, False)), (Geom(Fraction(3, 2)), (0, 0, Fraction(3, 2), False)),
+], ids=str)
+def test_leaf_forms_are_built_canonical(leaf, key):
+    got, want = seq.fold(leaf, seq._NORMALIZE), seq._form([(key, Fraction(1))])
+    assert got == want and str(got) == str(want)
+    assert [type(x) for x in got.point[0][0]] == [type(x) for x in key]
+
+
 def test_merged_arithmetic_on_benchmark_terms():
     forms = []
     for cu, cv in itertools.islice(inputs.seq_questions(random.Random(13)), 150):
