@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Iterable, Tuple
 
 from . import scale
-from .errors import DivisionByNeutrix, ResultTooLarge, UnrepresentableDivision
+from .errors import DivisionByNeutrix, NumericOverflow, ResultTooLarge, UnrepresentableDivision
 from .scale import Neutrix, Rational, exact, power_text
 
 Term = Tuple[Fraction, Rational]  # (coefficient, exponent), coefficient != 0
@@ -168,7 +168,10 @@ class FormalSeries:
         return lead_inv * out
 
     def eval(self, eps0: float) -> float:
-        return float(sum(float(c) * eps0 ** float(q) for c, q in self.terms))
+        try:
+            return float(sum(float(c) * eps0 ** float(q) for c, q in self.terms))
+        except OverflowError:
+            raise NumericOverflow(f"{self} has no value at eps0={eps0}: it overflows a double") from None
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import scale
 from .concretize import Concretization
-from .errors import ContractionRequired, FlexError, NumericOverflow
-from .extnum import ExternalNumber, from_neutrix, monomial, sub
+from .errors import ContractionRequired, FlexError, NumericOverflow, UnrepresentableDivision
+from .extnum import ZERO, ExternalNumber, from_neutrix, monomial, sub
 from .extnum import div as ext_div
 from .extnum import lt as ext_lt
 from .scale import Neutrix
@@ -109,8 +109,10 @@ def _run(step: Callable, values: np.ndarray, n0: int, centers: List[float], nois
     rather than double range, and says so.  ``groups`` are named runs batched
     as columns, in the order they would go in turn: only the first stops the
     loop, and the first group with a bad step is refused, at its first bad
-    step.  A float ``OverflowError`` in a step (``b ** n`` of a geometric
-    leaf) is the same in every column, and is refused as the first group's.
+    step.  A Python-float ``ArithmeticError`` in a step (``b ** n`` of a
+    geometric leaf overflowing, ``0 ** -1`` of an index leaf, where numpy
+    columns would hold inf) is the same in every column, and is refused as
+    the first group's.
     """
     draws = [np.full(values.shape[1], c, dtype=float) for c in centers]
     first = values[:, groups[0][1]]
@@ -120,7 +122,7 @@ def _run(step: Callable, values: np.ndarray, n0: int, centers: List[float], nois
                 draws[j] = row
             try:
                 values[i + 1] = step(n0 + i, values[i], draws)
-            except OverflowError:
+            except ArithmeticError:
                 raise NumericOverflow(f"{groups[0][0]} left double range at step n={n0 + i}") from None
             if not (np.abs(first[i + 1]) <= _OVERFLOW).all():
                 break  # the first group is named here; the rows past it stay unset
@@ -288,35 +290,37 @@ def affine_spec(alpha: ExternalNumber, noise: Neutrix, u0: ExternalNumber,
     return RecurrenceSpec(f, u0, horizon, n0)
 
 
+# f read as (a0, a1, nonlinear): f = a0 + a1*u, plus a part of degree 2 or
+# more in u when nonlinear, which nothing cancels; None when f is not a
+# polynomial in u free of n.  So a reading may miss an affine map but never
+# claims one.
+_ZERO_MAP = (ZERO, ZERO, False)
+_AFFINE = {cls: lambda _: None for cls in (Index, AltSign, Geom)}
+_AFFINE.update({
+    Const: lambda c: (c.value, ZERO, False),
+    Var: lambda v: (ZERO, monomial(1), False) if v.name == "u" else None,
+    Add: lambda _, a, b: None if None in (a, b) else (a[0] + b[0], a[1] + b[1], a[2] or b[2]),
+    # An exactly zero factor drops the other: 0*u^2 is 0, but 0*u^(-1) is None.
+    Mul: lambda _, a, b: None if None in (a, b) else _ZERO_MAP if _ZERO_MAP in (a, b) else (
+        a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[2] or b[2] or a[1] * b[1] != ZERO),
+    # Only by a zeroless constant: u/(2 + o) is (1/2 + o)*u.
+    Div: lambda _, a, b: (ext_div(a[0], b[0]), ext_div(a[1], b[0]), a[2])
+        if None not in (a, b) and b[1:] == (ZERO, False) and b[0].is_zeroless else None,
+    # u^1 is u; any other natural power is nonlinear, and is not expanded.
+    Pow: lambda p, a: a if p.exponent == 1 else (ZERO, ZERO, True)
+        if a is not None and p.exponent >= 0 and p.exponent.denominator == 1 else None,
+})
+
+
 def _match_affine(f: Term) -> Optional[Tuple[ExternalNumber, Neutrix]]:
-    """Recognize alpha*u + N (in any order); None for anything else."""
-    alpha = None
-    noise = scale.ZERO
-    for p in _summands(f):
-        if p == Var("u"):
-            if alpha is not None:
-                return None
-            alpha = monomial(1)
-        elif isinstance(p, Mul):
-            a, b = p.left, p.right
-            if isinstance(a, Const) and b == Var("u"):
-                cand = a.value
-            elif isinstance(b, Const) and a == Var("u"):
-                cand = b.value
-            else:
-                return None
-            if alpha is not None:
-                return None
-            alpha = cand
-        elif isinstance(p, Const):
-            if not p.value.rep.is_zero:
-                return None
-            noise = noise + p.value.neutrix
-        else:
-            return None
-    if alpha is None:
+    """(alpha, N) when f reads as alpha*u + N, however it is spelled; else None."""
+    try:
+        form = fold(f, _AFFINE)
+    except UnrepresentableDivision:  # u/(1 + e): no finite series form
         return None
-    return alpha, noise
+    if form is None or form[2] or not form[0].rep.is_zero:
+        return None
+    return form[1], form[0].neutrix
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,35 @@ class TestRecur:
         assert "evidence.alpha,1/2 + o" in rows and "evidence.limit_neutrix,e*L" in rows
 
 
+    # One case per branch of the affine analysis that no other test reaches;
+    # the last one respells the second.
+    @pytest.mark.parametrize("f, u0, neutrix, flags, evidence", [
+        ("(1/2 + o)*u + e*L", "1", "e^2*L", ["falsified"] * 3,
+         {"route": "affine analysis", "escape": "step noise e*L already exceeds e^2*L"}),
+        ("u*(1/2)", "1", "0", ["proven", "proven", "falsified"],
+         {"route": "affine analysis", "strong": "a nonzero difference never reaches exactly 0"}),
+        ("(1 + o)*u", "1", "o", ["unknown"] * 3,
+         {"route": "affine analysis inconclusive (|alpha| touches 1)"}),
+        ("u/4 + u/4", "1", "0", ["proven", "proven", "falsified"],
+         {"route": "affine analysis", "alpha": "1/2", "strong": "a nonzero difference never reaches exactly 0"}),
+    ], ids=["noise-escapes", "zero-noise", "touches-1", "respelled"])
+    def test_affine_branches(self, capsys, f, u0, neutrix, flags, evidence):
+        code, out, _ = run(capsys, "--format", "json", "recur", "--f", f, "--u0", u0, "--neutrix", neutrix)
+        payload = json.loads(out)
+        got = [payload[k] for k in ("stable", "asymptotically_stable", "strongly_asymptotically_stable")]
+        assert code == (1 if "falsified" in flags else 0)
+        assert got == flags
+        assert {k: payload["evidence"].get(k) for k in evidence} == evidence
+
+    def test_contraction_proven_however_spelled(self, capsys):
+        code, out, _ = run(
+            capsys, "recur", "--f", "u/2 + e*L", "--u0", "0", "--neutrix", "e*L", "--eps0", "1e-3", "--seed", "0"
+        )
+        assert code == 0
+        assert out.startswith("stable: proven\nasymptotically stable: proven\nstrongly asymptotically stable: proven\n")
+        assert "  route: affine analysis\n" in out
+
+
 class TestCsv:
     def rows(self, capsys, *argv):
         code, out, _ = run(capsys, *argv, "--format", "csv")
@@ -338,6 +367,21 @@ class TestFailuresExit2:
             capsys, "recur", "--f", "u/2 + (3/2)^n*e*L", "--u0", "0", "--neutrix", "e*L", "--horizon", "2000",
         )
         assert err == "error: reference path left double range at step n=1751\n"
+
+    def test_arithmetic_error_of_an_index_leaf(self, capsys):
+        # 0 ** -1.0 at n=0 raises in Python, where a numpy column holds inf.
+        err = self.assert_error(
+            capsys, "recur", "--f", "u/2 + n^(-1)", "--u0", "0", "--neutrix", "e*L", "--horizon", "5",
+            "--samples", "10",
+        )
+        assert err == "error: reference path left double range at step n=0\n"
+
+    def test_parameter_center_past_double_range(self, capsys):
+        err = self.assert_error(
+            capsys, "recur", "--f", "u/2 + e^(-400)", "--u0", "0", "--neutrix", "e*L", "--horizon", "5",
+            "--samples", "10",
+        )
+        assert err == "error: w^400 has no value at eps0=0.001: it overflows a double\n"
 
     @pytest.mark.parametrize("f, neutrix", [
         ("u/2 + u^2", "w^(307/2)*L"),

@@ -184,6 +184,16 @@ class TestSampler:
             conc.drawer([monomial(1) + from_neutrix(pound(-200))])
 
 
+    @pytest.mark.parametrize("a, text", [
+        (monomial(1, -400), r"w\^400"),
+        (monomial(Fraction(10 ** 400), 1), r"\d+\*e"),
+    ], ids=["power", "coefficient"])
+    def test_overflowing_center_refused_naming_the_series(self, a, text):
+        msg = rf"^{text} has no value at eps0=0\.001: it overflows a double$"
+        with pytest.raises(NumericOverflow, match=msg):
+            Concretization(eps0=1e-3).center(a)
+
+
 class TestOrderSoundness:
     def test_separated_lt_pairs_sample_in_order(self, conc):
         rng_sym = random.Random(23)

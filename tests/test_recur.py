@@ -13,7 +13,7 @@ from flexnum import recur
 from flexnum.concretize import Concretization
 from flexnum.dsl import parse_recur_rhs
 from flexnum.errors import ContractionRequired, FullNotConcretizable, NumericOverflow
-from flexnum.extnum import from_neutrix, monomial
+from flexnum.extnum import from_neutrix, monomial, subset
 from flexnum.recur import (
     Flag,
     OslashPow,
@@ -25,12 +25,13 @@ from flexnum.recur import (
     sample_paths,
 )
 from flexnum.scale import FULL, OSLASH, ZERO, pound
-from flexnum.seq import ALT, Add, Const, Div, Mul, N, Pow, Var
+from flexnum.seq import ALT, Add, Const, Div, Index, Mul, N, Pow, Var, eval_at, fold
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 sys.path.insert(0, os.path.abspath(PERFBENCH))
 
 import inputs  # noqa: E402
+import support  # noqa: E402
 
 one = monomial(1)
 
@@ -265,6 +266,18 @@ class TestAffine:
             env = (abs(p.values[0]) + geo) * q ** np.arange(61) + geo
             assert np.all(np.abs(p.values) <= env * (1 + 1e-12))
 
+    def test_envelope_is_the_advertised_decay_bound(self, conc_coarse):
+        alpha = monomial(Fraction(1, 2)) + from_neutrix(OSLASH)
+        cert = affine_closed_form(alpha, pound(1), conc_coarse)
+        h, t0 = 60, -0.75
+        n = np.arange(h + 1)
+        geo = cert.c / (1 - cert.q)
+        assert np.array_equal(cert.envelope(n, abs(t0)), (abs(t0) + geo) * cert.q ** n.astype(float) + geo)
+        # Every path drawn from the certificate's own intervals stays inside it.
+        spec = affine_spec(alpha, pound(1), monomial(Fraction(3, 4)) + from_neutrix(pound(1)), horizon=h)
+        values = sample_paths(spec, conc_coarse, count=1000, seed=9).values
+        assert np.all(np.abs(values) <= cert.envelope(n[:, None], np.abs(values[0])) * (1 + 1e-12))
+
 
 class TestOslashPow:
     def test_membership(self, conc_coarse):
@@ -358,6 +371,155 @@ class TestStability:
         r1 = reference_path(spec, conc_coarse)
         r2 = reference_path(spec, conc_coarse)
         assert np.array_equal(r1, r2)
+
+
+def spelled_match_affine(f):
+    """The spelling matcher that the fold reading replaced, kept as its
+    reference: alpha*u + N with one u-term ``u``, ``c*u`` or ``u*c`` and
+    constants of representative 0, in any order."""
+    alpha = None
+    noise = ZERO
+    for p in recur._summands(f):
+        if p == Var("u"):
+            if alpha is not None:
+                return None
+            alpha = monomial(1)
+        elif isinstance(p, Mul):
+            a, b = p.left, p.right
+            if isinstance(a, Const) and b == Var("u"):
+                cand = a.value
+            elif isinstance(b, Const) and a == Var("u"):
+                cand = b.value
+            else:
+                return None
+            if alpha is not None:
+                return None
+            alpha = cand
+        elif isinstance(p, Const):
+            if not p.value.rep.is_zero:
+                return None
+            noise = noise + p.value.neutrix
+        else:
+            return None
+    if alpha is None:
+        return None
+    return alpha, noise
+
+
+def random_sum(rng, parts):
+    """The parts added up in their order, under a random bracketing."""
+    parts = list(parts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [Add(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def substitute_u(f, k):
+    """f with u := k, through seq.fold."""
+    return fold(f, {
+        Const: lambda c: c,
+        Var: lambda v: Const(monomial(k)) if v.name == "u" else v,
+        Index: lambda i: i,
+        Add: lambda _, a, b: Add(a, b),
+        Mul: lambda _, a, b: Mul(a, b),
+        Div: lambda _, a, b: Div(a, b),
+        Pow: lambda p, a: Pow(a, p.exponent),
+    })
+
+
+def random_polynomial(rng, consts, depth=4):
+    """A random term over u, n and ``consts``, with every operator and
+    exponents that the affine reading must accept or refuse."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Var("u"), Var("u"), N, Const(rng.choice(consts))])
+    a = random_polynomial(rng, consts, depth - 1)
+    op = rng.randrange(4)
+    if op == 3:
+        return Pow(a, rng.choice([Fraction(-1), Fraction(0), Fraction(1), Fraction(1), Fraction(2), Fraction(1, 2)]))
+    return (Add, Mul, Div)[op](a, random_polynomial(rng, consts, depth - 1))
+
+
+class TestAffineReading:
+    """The exact route reads f as a0 + a1*u by meaning: every spelling of
+    one affine map takes the same route."""
+
+    def test_same_answer_as_the_spelling_matcher(self, conc_coarse):
+        rng = random.Random(24)
+        coefficients = [monomial(Fraction(k, 4)) for k in range(-6, 7)] + [monomial(1, 1)]
+        for _ in range(300):
+            c = rng.choice(coefficients) + from_neutrix(rng.choice([ZERO, OSLASH, pound(1)]))
+            parts = [rng.choice([Var("u"), Mul(Const(c), Var("u")), Mul(Var("u"), Const(c))])]
+            parts += [Const(from_neutrix(support.rand_neutrix(rng))) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(parts)
+            f = random_sum(rng, parts)
+            want = spelled_match_affine(f)
+            assert want is not None and recur._match_affine(f) == want, f
+            spec = RecurrenceSpec(f, one, horizon=50)
+            noise = rng.choice([ZERO, OSLASH, pound(1), pound(2)])
+            got = classify_stability(spec, monomial(0), noise, conc_coarse)
+            assert repr(got.to_dict()) == repr(recur._classify_affine(*want, noise, spec, conc_coarse).to_dict())
+
+    @pytest.mark.parametrize("consts, exact", [
+        ([monomial(Fraction(k, 3)) for k in range(-4, 5)] + [monomial(2, 1)], True),
+        ([monomial(Fraction(1, 2)) + from_neutrix(OSLASH), from_neutrix(pound(1)), monomial(-1)], False),
+    ], ids=["precise", "noisy"])
+    def test_reading_evaluates_as_the_term(self, consts, exact):
+        # Precise constants give the value exactly; noisy ones may be read
+        # apart where one draw feeds both a0 and a1, which only widens.
+        rng = random.Random(7)
+        accepted = 0
+        for _ in range(600):
+            f = random_polynomial(rng, consts)
+            form = fold(f, recur._AFFINE)
+            if form is None or form[2]:
+                continue
+            accepted += 1
+            a0, a1, _ = form
+            for k in range(4):
+                value, read = eval_at(substitute_u(f, k), 1), a1 * monomial(k) + a0
+                assert value == read if exact else subset(value, read), (f, k)
+        assert accepted >= 100
+
+    @pytest.mark.parametrize("f, alpha, flags, route", [
+        ("u/2 + e*L", "1/2", (Flag.PROVEN,) * 3, "affine analysis"),
+        ("1/4*u + 1/4*u + e*L", "1/2", (Flag.PROVEN,) * 3, "affine analysis"),
+        ("(9/10 + o)*u + 0*u^2 + e*L", "9/10 + o", (Flag.PROVEN,) * 3, "affine analysis"),
+        ("u*(1/2 + o) + e*L", "1/2 + o", (Flag.PROVEN,) * 3, "affine analysis"),
+        ("u/(2 + o) + e*L", "1/2 + o", (Flag.PROVEN,) * 3, "affine analysis"),
+        ("0*(u + 1)^1000 + u/2 + e*L", "1/2", (Flag.PROVEN,) * 3, "affine analysis"),
+        ("e*L", "0", (Flag.PROVEN,) * 3, "affine analysis"),
+        ("0", "0", (Flag.PROVEN,) * 3, "affine analysis"),
+        ("u*o - u*o + e*L", "o", (Flag.PROVEN,) * 3, "affine analysis"),
+        ("u + u + e*L", "2", (Flag.FALSIFIED,) * 3, "affine analysis (expansion)"),
+        ("2*u + 0*u^2 + e*L", "2", (Flag.FALSIFIED,) * 3, "affine analysis (expansion)"),
+    ])
+    def test_affine_by_meaning(self, conc_coarse, f, alpha, flags, route):
+        spec = RecurrenceSpec(parse_recur_rhs(f), monomial(0), horizon=200)
+        v = classify_stability(spec, monomial(0), pound(1), conc_coarse, seed=0)
+        assert (v.stable, v.asymptotically_stable, v.strongly_asymptotically_stable) == flags
+        assert (v.evidence["route"], str(v.evidence["alpha"])) == (route, alpha)
+
+    @pytest.mark.parametrize("f", [
+        "(1/2 + 1/n)*u + e*L",  # n in a coefficient
+        "u/2 + (3/2)^n*e*L",
+        "u + u^2 + e*L",  # nonlinear
+        "u^2 - u^2 + u/2 + e*L",  # a nonlinear part never cancels
+        "0*u^(-1) + u/2 + e*L",  # not a polynomial, even times 0
+        "u^(1/2) + e*L",
+        "u/(u + 1) + e*L",
+        "u/(1 + e) + e*L",  # a quotient with no finite series form
+        "u/2 + 5 + e*L",  # a0 with a nonzero representative
+    ])
+    def test_not_affine(self, f):
+        assert recur._match_affine(parse_recur_rhs(f)) is None
+
+    def test_n_dependent_stays_sampled(self, conc_coarse):
+        spec = RecurrenceSpec(parse_recur_rhs("(1/2 + 1/n)*u + e*L"), monomial(0), horizon=50, n0=1)
+        v = classify_stability(spec, monomial(0), pound(1), conc_coarse, samples=20)
+        assert v.evidence["route"] == "sampled falsification"
+        drain = drain_spec(horizon=20)
+        assert recur._match_affine(drain.f) is None
 
 
 def per_draw(conc, a, rng, size):
