@@ -325,5 +325,15 @@ def main(argv: Optional[list] = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Entry point of the ``flexnum`` script and of ``python -m flexnum.cli``.
+
+    flexnum makes no BLAS call, so numpy starts with one OpenBLAS thread
+    unless ``OPENBLAS_NUM_THREADS`` is set; ``main`` leaves the environment alone.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -169,9 +169,13 @@ class FormalSeries:
 
     def eval(self, eps0: float) -> float:
         try:
-            return float(sum(float(c) * eps0 ** float(q) for c, q in self.terms))
+            value = float(sum(float(c) * eps0 ** float(q) for c, q in self.terms))
         except OverflowError:
-            raise NumericOverflow(f"{self} has no value at eps0={eps0}: it overflows a double") from None
+            value = math.inf
+        # A product or sum past double range is inf, or nan where two cancel.
+        if not math.isfinite(value):
+            raise NumericOverflow(f"{self} has no value at eps0={eps0}: it overflows a double")
+        return value
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import scale
 from .concretize import Concretization
-from .errors import ContractionRequired, FlexError, NumericOverflow, UnrepresentableDivision
+from .errors import ContractionRequired, FlexError, FullNotConcretizable, NumericOverflow, UnrepresentableDivision
 from .extnum import ZERO, ExternalNumber, from_neutrix, monomial, sub
 from .extnum import div as ext_div
 from .extnum import lt as ext_lt
@@ -265,7 +265,7 @@ class AffineCertificate:
 def affine_closed_form(alpha: ExternalNumber, noise: Neutrix, conc: Concretization) -> AffineCertificate:
     """Certificate for the contraction case; ContractionRequired otherwise."""
     if noise.is_full:
-        raise ValueError("full-line noise is out of scope")
+        raise FullNotConcretizable("full-line noise is out of scope")
     one = monomial(1)
     if not ext_lt(abs(alpha), one):
         raise ContractionRequired(f"|{alpha}| < 1 fails")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import warnings
 
 import pytest
 
-from flexnum import recur, seq
+from flexnum import cli, recur, seq
 from flexnum.cli import main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -241,15 +242,70 @@ assert "numpy" not in sys.modules, "a symbolic command imported numpy"
 """
 
 
-def test_symbolic_commands_start_without_numpy():
-    # A fresh interpreter: this test process has imported every layer already.
-    symbolic = [argv for argv in _readme_commands() if argv[0] in ("eval", "limit", "cauchy")]
-    assert len(symbolic) >= 4, symbolic
+def _child_env(**changes):
+    """This environment with ``src`` on PYTHONPATH; a change of None unsets."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(seq.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    program = f"ARGVS = {symbolic!r}\n" + _LAYERS_PROGRAM
-    proc = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
+    env.update(changes)
+    return {k: v for k, v in env.items() if v is not None}
+
+
+def _run_program(program, **changes):
+    # A fresh interpreter: this test process has imported every layer already.
+    proc = subprocess.run([sys.executable, "-c", program], env=_child_env(**changes),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_symbolic_commands_start_without_numpy():
+    symbolic = [argv for argv in _readme_commands() if argv[0] in ("eval", "limit", "cauchy")]
+    assert len(symbolic) >= 4, symbolic
+    _run_program(f"ARGVS = {symbolic!r}\n" + _LAYERS_PROGRAM)
+
+
+README_RECUR = next(argv for argv in _readme_commands() if argv[0] == "recur")
+
+# Runs flexnum.cli as `python -m` does, noting OPENBLAS_NUM_THREADS as it
+# stands when numpy is first imported.
+_ENTRY_PROGRAM = """
+import os, runpy, sys
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Watch())
+sys.argv = ["flexnum", *ARGV]
+try:
+    runpy.run_module("flexnum.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert seen[:1] == [WANT], seen
+"""
+
+
+@pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")], ids=["unset", "explicit"])
+def test_entry_starts_numpy_with_one_blas_thread_unless_told(given, want):
+    _run_program(f"ARGV = {README_RECUR!r}\nWANT = {want!r}\n" + _ENTRY_PROGRAM, OPENBLAS_NUM_THREADS=given)
+
+
+def test_main_in_process_leaves_the_environment_alone():
+    program = f"ARGV = {README_RECUR!r}\n" + """
+import os, sys
+before = dict(os.environ)
+from flexnum import cli
+assert dict(os.environ) == before
+assert cli.main(ARGV) == 0 and "numpy" in sys.modules
+assert dict(os.environ) == before
+"""
+    _run_program(program, OPENBLAS_NUM_THREADS=None)
+
+
+def test_console_script_is_the_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(README), "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["flexnum"]
+    assert target == f"{cli.__name__}:{cli.run.__name__}"
 
 
 @pytest.mark.parametrize("argv", [
@@ -261,11 +317,9 @@ def test_closed_stdout_exits_quietly(argv):
     # stdout fails, whether in a print or in the last flush.
     read, write = os.pipe()
     os.close(read)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(seq.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
         proc = subprocess.run([sys.executable, "-m", "flexnum.cli", *argv], stdout=write,
-                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+                              stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=120)
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (2, "")
@@ -382,6 +436,18 @@ class TestFailuresExit2:
             "--samples", "10",
         )
         assert err == "error: w^400 has no value at eps0=0.001: it overflows a double\n"
+
+    def test_parameter_center_overflowing_in_its_product(self, capsys):
+        # 10^300 and w^100 are each a double; their product is not.
+        err = self.assert_error(
+            capsys, "recur", "--f", "u/2 + 10^300*w^100", "--u0", "0", "--neutrix", "e*L", "--horizon", "5",
+            "--samples", "10",
+        )
+        assert re.fullmatch(r"error: 10{300}\*w\^100 has no value at eps0=0\.001: it overflows a double\n", err)
+
+    def test_full_line_noise(self, capsys):
+        err = self.assert_error(capsys, "recur", "--f", "u/2 + R", "--u0", "0", "--neutrix", "e*L")
+        assert err == "error: full-line noise is out of scope\n"
 
     @pytest.mark.parametrize("f, neutrix", [
         ("u/2 + u^2", "w^(307/2)*L"),

@@ -187,7 +187,9 @@ class TestSampler:
     @pytest.mark.parametrize("a, text", [
         (monomial(1, -400), r"w\^400"),
         (monomial(Fraction(10 ** 400), 1), r"\d+\*e"),
-    ], ids=["power", "coefficient"])
+        (monomial(Fraction(10 ** 300), -100), r"\d+\*w\^100"),
+        (monomial(Fraction(10 ** 300), -100) - monomial(Fraction(10 ** 300), -99), r"\d+\*w\^100 - \d+\*w\^99"),
+    ], ids=["power", "coefficient", "product", "difference"])
     def test_overflowing_center_refused_naming_the_series(self, a, text):
         msg = rf"^{text} has no value at eps0=0\.001: it overflows a double$"
         with pytest.raises(NumericOverflow, match=msg):

@@ -12,7 +12,7 @@ import pytest
 from flexnum import recur
 from flexnum.concretize import Concretization
 from flexnum.dsl import parse_recur_rhs
-from flexnum.errors import ContractionRequired, FullNotConcretizable, NumericOverflow
+from flexnum.errors import ContractionRequired, FlexError, FullNotConcretizable, NumericOverflow
 from flexnum.extnum import from_neutrix, monomial, subset
 from flexnum.recur import (
     Flag,
@@ -701,6 +701,11 @@ class TestDrawOrder:
         assert str(want.value).startswith("reference path ") == (f in self.STARTS)
         with pytest.raises(NumericOverflow, match=f"^{re.escape(str(want.value))}$"):
             classify_stability(*args, samples=200, seed=1)
+
+    def test_full_line_noise_refused_as_a_flex_error(self, conc_coarse):
+        spec = RecurrenceSpec(parse_recur_rhs("u/2 + R"), monomial(0), horizon=5)
+        with pytest.raises(FlexError, match="^full-line noise is out of scope$"):
+            classify_stability(spec, monomial(0), pound(1), conc_coarse, samples=10)
 
     def test_full_parameter_refused_at_every_horizon(self, conc_coarse):
         f = Add(Mul(Const(from_neutrix(FULL)), Pow(Var("u"), 2)), Const(from_neutrix(pound(1))))
