@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -194,21 +194,64 @@ class MatchResult:
             yield t, y, self.region(i)
 
 
+def _field_array(f: Callable, t: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
+    """f(t, y) at arrays of one shape, or None where f is not array-capable:
+    it raises on arrays, or does not give a float array of their shape."""
+    try:
+        with np.errstate(all="ignore"):
+            out = f(t, y)
+    except Exception:  # the scalar calls that replace this one raise what f raises at floats
+        return None
+    ok = isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == t.shape
+    return out if ok else None
+
+
 def _check_attractive(p: SlowCurveProblem, halo_radius: float) -> None:
     """Sample the sign pattern of f on the attraction band; NotAttractive on failure."""
     ts = np.linspace(0.0, p.t_max, 13)
     ys = np.geomspace(max(halo_radius * 2, 1e-12), p.attract_width, 9)
-    # At numpy scalars a pole of f gives inf or nan instead of raising; the
-    # run itself calls f at floats and reports the pole.
+    tt, yy = np.meshgrid(ts, ys, indexing="ij")
+    above, below = _field_array(p.f, tt, yy), _field_array(p.f, tt, -yy)
+    # At numpy scalars and arrays a pole of f gives inf or nan instead of
+    # raising; the run itself calls f at floats and reports the pole.
     with np.errstate(all="ignore"):
-        for t in ts:
-            for y in ys:
-                # Written so that a nan sample fails the test.
-                if not (p.f(t, y) < 0 and p.f(t, -y) > 0):
-                    raise NotAttractive(
-                        f"sign condition fails at (t={t:.4g}, |y|={y:.4g}): "
-                        "trajectories do not approach the slow curve"
-                    )
+        if above is None or below is None:
+            # Written so that a nan sample fails the test.
+            fails = ((t, y) for t in ts for y in ys if not (p.f(t, y) < 0 and p.f(t, -y) > 0))
+        else:
+            bad = ~((above < 0) & (below > 0))
+            fails = zip(tt[bad], yy[bad])  # in row-major order, as the loop above
+        first = next(fails, None)
+    if first is not None:
+        t, y = first
+        raise NotAttractive(
+            f"sign condition fails at (t={t:.4g}, |y|={y:.4g}): "
+            "trajectories do not approach the slow curve"
+        )
+
+
+def _singular_step(f: Callable, ts: np.ndarray, fd: float, slope_sign: float) -> int:
+    """The first index of ``ts`` where the sign of f(t, fd) - f(t, 0) is not
+    ``slope_sign``, or len(ts): where the slow curve stops being attractive.
+
+    One array call of f per probe height gives every sign.  A pole gives inf
+    or nan there where a float call raises, so a point that is not finite is
+    evaluated at floats, as is every point where f is not array-capable.
+    """
+    up = _field_array(f, ts, np.full_like(ts, fd))
+    at = _field_array(f, ts, np.zeros_like(ts))
+    if up is None or at is None:
+        diff, suspects = None, range(len(ts))
+    else:
+        diff = up - at
+        suspects = np.flatnonzero((np.copysign(1.0, diff) != slope_sign) | ~np.isfinite(diff))
+    for i in suspects:
+        t = float(ts[i])
+        if diff is None or not math.isfinite(diff[i]):
+            if math.copysign(1.0, f(t, fd) - f(t, 0.0)) == slope_sign:
+                continue
+        return int(i)
+    return len(ts)
 
 
 def match_simulate(p: SlowCurveProblem, conc: Optional[Concretization] = None) -> MatchResult:
@@ -218,6 +261,11 @@ def match_simulate(p: SlowCurveProblem, conc: Optional[Concretization] = None) -
     radius is eps0 times the limited threshold.  After tube entry (and before
     any detected singular point of the slow curve) the trajectory must stay
     inside the tube, else a violation is recorded.
+
+    The step loop is RK4 alone.  The attraction check and the singular-point
+    probe each call f once per probe height, on an array of all their
+    points, and fall back to a float call per point where f is not
+    array-capable.
     """
     if conc is None:
         conc = Concretization(eps0=min(p.eps0, 1e-2))
@@ -230,41 +278,42 @@ def match_simulate(p: SlowCurveProblem, conc: Optional[Concretization] = None) -
     if abs(p.y0) <= halo_radius:
         raise NotAttractive("initial point already inside the halo; nothing to match")
 
-    steps = int(math.ceil(p.t_max / p.dt))
-    ts = np.empty(steps + 1)
+    f, eps0, dt = p.f, p.eps0, p.dt
+    half, sixth = dt / 2, dt / 6.0
+    steps = int(math.ceil(p.t_max / dt))
+    ts = np.arange(steps + 1) * dt
     ys = np.empty(steps + 1)
-    ts[0], ys[0] = 0.0, p.y0
-    t, y = 0.0, p.y0
-    t_halo = None
-    t_tube = None
-    t_sing = None
-    violations: List[str] = []
+    ys[0] = y = p.y0
     fd = 1e-4  # finite-difference probe for the attractivity of the curve
+    slope_sign = math.copysign(1.0, f(0.0, fd) - f(0.0, 0.0))
+    try:
+        for i in range(1, steps + 1):
+            t = (i - 1) * dt
+            k1 = f(t, y) / eps0
+            k2 = f(t + half, y + dt * k1 / 2) / eps0
+            k3 = f(t + half, y + dt * k2 / 2) / eps0
+            k4 = f(t + dt, y + dt * k3) / eps0
+            y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            ys[i] = y
+    except Exception:
+        # The probe of each step's end point comes before the next step: a
+        # probe that fails at a point before step i is the failure to report.
+        _singular_step(f, ts[1:i], fd, slope_sign)
+        raise
 
-    def rhs(tq, yq):
-        return p.f(tq, yq) / p.eps0
-
-    slope_sign = math.copysign(1.0, p.f(0.0, fd) - p.f(0.0, 0.0))
-    for i in range(1, steps + 1):
-        k1 = rhs(t, y)
-        k2 = rhs(t + p.dt / 2, y + p.dt * k1 / 2)
-        k3 = rhs(t + p.dt / 2, y + p.dt * k2 / 2)
-        k4 = rhs(t + p.dt, y + p.dt * k3)
-        y = y + (p.dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = i * p.dt
-        ts[i], ys[i] = t, y
-        if t_sing is None:
-            s = math.copysign(1.0, p.f(t, fd) - p.f(t, 0.0))
-            if s != slope_sign:
-                t_sing = t
-        if t_halo is None and abs(y) <= halo_radius:
-            t_halo = t
-        if t_tube is None and abs(y) <= tube_radius:
-            t_tube = t
-        elif t_tube is not None and t_sing is None and abs(y) > tube_radius:
-            violations.append(
-                f"left the eps-tube at t={t:.6g} after entering at {t_tube:.6g}"
-            )
-    return MatchResult(
-        ts, ys, t_halo, t_tube, halo_radius, tube_radius, t_sing, tuple(violations)
-    )
+    sing = 1 + _singular_step(f, ts[1:], fd, slope_sign)
+    t_sing = float(ts[sing]) if sing <= steps else None
+    inside = np.abs(ys[1:])
+    halo = np.flatnonzero(inside <= halo_radius)
+    tube = np.flatnonzero(inside <= tube_radius)
+    t_halo = float(ts[1 + halo[0]]) if halo.size else None
+    t_tube = None
+    violations: Tuple[str, ...] = ()
+    if tube.size:
+        k = 1 + int(tube[0])
+        t_tube = float(ts[k])
+        # After entry and before the singular point, every step outside the tube.
+        left = k + 1 + np.flatnonzero(np.abs(ys[k + 1:sing]) > tube_radius)
+        violations = tuple(f"left the eps-tube at t={float(ts[j]):.6g} after entering at {t_tube:.6g}"
+                           for j in left)
+    return MatchResult(ts, ys, t_halo, t_tube, halo_radius, tube_radius, t_sing, violations)

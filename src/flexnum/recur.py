@@ -10,7 +10,10 @@ family L*exp(-n*oo) rather than a fixed monomial.
 Every path (sampled, reference or perturbed) advances through one step
 loop, :func:`_run`, with one overflow rule: a step is refused unless every
 value has magnitude at most 1e300, and the refusal says whether the step
-left the reals (nan) or double range.  A run draws all its steps as one
+left the reals (nan) or double range.  The loop tests that rule once every
+32 steps, over all the rows since its last test, and looks back over those
+rows before it refuses an arithmetic error in a step; so every refusal names
+the step that a test after each step would.  A run draws all its steps as one
 block; the stability check batches its ten runs as columns of one run: the
 reference path first, then the stability run and eight tolerance-scale runs.
 
@@ -38,6 +41,8 @@ from .scale import Neutrix
 from .seq import AltSign, Add, Const, Div, Geom, Index, Mul, Pow, Term, Var, compile_float, fold
 
 _OVERFLOW = 1e300
+# _run tests the first group for overflow once per this many steps.
+_TEST_EVERY = 32
 # A sampled difference escapes when it leaves this multiple of the noise radius.
 _ESCAPE_FACTOR = 4.0
 
@@ -109,23 +114,33 @@ def _run(step: Callable, values: np.ndarray, n0: int, centers: List[float], nois
     rather than double range, and says so.  ``groups`` are named runs batched
     as columns, in the order they would go in turn: only the first stops the
     loop, and the first group with a bad step is refused, at its first bad
-    step.  A Python-float ``ArithmeticError`` in a step (``b ** n`` of a
+    step.  The loop tests the first group every ``_TEST_EVERY`` steps, over
+    all the rows since its last test, and after the last step; so it stops at
+    most that many steps past the first bad one, and the refusal still names
+    that step.  A Python-float ``ArithmeticError`` in a step (``b ** n`` of a
     geometric leaf overflowing, ``0 ** -1`` of an index leaf, where numpy
     columns would hold inf) is the same in every column, and is refused as
-    the first group's.
+    the first group's, unless an untested row before it is already bad: the
+    loop would have stopped there, and that row is refused.
     """
     draws = [np.full(values.shape[1], c, dtype=float) for c in centers]
     first = values[:, groups[0][1]]
+    steps = len(values) - 1
+    tested = 0  # rows 1..tested of the first group are tested and good
     with np.errstate(all="ignore"):
-        for i in range(len(values) - 1):
+        for i in range(steps):
             for j, row in zip(noisy, blocks(i)):
                 draws[j] = row
             try:
                 values[i + 1] = step(n0 + i, values[i], draws)
             except ArithmeticError:
+                if not (np.abs(first[tested + 1:i + 1]) <= _OVERFLOW).all():
+                    break  # the loop would have stopped at that row
                 raise NumericOverflow(f"{groups[0][0]} left double range at step n={n0 + i}") from None
-            if not (np.abs(first[i + 1]) <= _OVERFLOW).all():
-                break  # the first group is named here; the rows past it stay unset
+            if (i + 1) % _TEST_EVERY == 0 or i + 1 == steps:
+                if not (np.abs(first[tested + 1:i + 2]) <= _OVERFLOW).all():
+                    break  # the first group is refused below; the rows past this one stay unset
+                tested = i + 1
         ok = np.abs(values[1:]) <= _OVERFLOW
     for what, cols in groups:
         bad = ~ok[:, cols].all(axis=1)
@@ -178,14 +193,18 @@ def sample_paths(
         summands = [_compile(t, params) for t in _summands(spec.f)]
 
         def step(n, u, draws):
-            # Neumaier: err accumulates the rounding of each addition.  The
-            # first summand is exact: its error is 0, or nan if it is inf or nan.
+            # Neumaier: err accumulates the rounding of each addition, taken
+            # by TwoSum: exact whichever operand is larger, unless t - total
+            # overflows, which needs a summand within two ulps of the largest
+            # double.  The first summand is exact: its error is 0, or nan if
+            # it is inf or nan.
             x = summands[0](n, u, draws)
             total, err = x + 0.0, x - x
             for fn in summands[1:]:
                 x = fn(n, u, draws)
                 t = total + x
-                err += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
+                b = t - total
+                err += (total - (t - b)) + (x - b)
                 total = t
             return total + err
 

@@ -7,6 +7,7 @@ import pytest
 
 from flexnum import apps
 from flexnum.concretize import Concretization
+from flexnum.dsl import parse_scalar_field
 from flexnum.errors import IndexBeyondPrefix, NotAttractive, StepUnstable
 from flexnum.extnum import ExternalNumber, FormalSeries, from_neutrix, monomial
 from flexnum.scale import MICRO, pound
@@ -166,3 +167,99 @@ class TestMatching:
         # Under the default half-exponent buffer the halo and tube radii
         # coincide, so the trajectory may never show a separate halo band.
         assert set(regions) <= {"fast", "halo", "eps_tube"}
+
+
+def field_problem(f) -> apps.SlowCurveProblem:
+    return apps.SlowCurveProblem(f=f, eps0=1e-4, y0=1.0, t_max=4e-3, dt=5e-6)
+
+
+# A field whose slow curve stops attracting at t = 7/4000 - 1/10^(9/2), and
+# one whose curve is pushed away by a drift that grows with t.
+SINGULAR = "-y*((t - 7/4000)^2 - 1/10^9)"
+DRIFT = "-y + 15/1000*(t*250)"
+
+
+class TestMatchBookkeeping:
+    def test_singular_point_stops_the_tube_test(self):
+        result = apps.match_simulate(field_problem(parse_scalar_field(SINGULAR)))
+        assert result.t_singular == 344 * 5e-6  # 0.00172
+        assert (result.t_enter_halo, result.t_enter_eps_tube, result.violations) == (None, None, ())
+
+    def test_no_violation_past_the_singular_point(self):
+        # Near the curve the field repels from t > 2e-3 on; the trajectory
+        # leaves the tube for |y| = 0.015, where the band still attracts.
+        def field(t, y):
+            return -y * (1 - 2 * (t > 2e-3) / (1 + (y / 0.015) ** 2))
+
+        result = apps.match_simulate(field_problem(field))
+        assert result.t_enter_eps_tube == 93 * 5e-6 and result.t_singular == 401 * 5e-6
+        assert abs(result.ys[-1]) > result.tube_radius and result.violations == ()
+
+    def test_every_step_outside_the_tube_is_a_violation(self):
+        result = apps.match_simulate(field_problem(parse_scalar_field(DRIFT)))
+        assert result.t_singular is None
+        assert result.t_enter_halo == result.t_enter_eps_tube == 96 * 5e-6  # 0.00048
+        # From t = 554*dt to the last step, 800*dt.
+        assert len(result.violations) == 247
+        assert result.violations[0] == "left the eps-tube at t=0.00277 after entering at 0.00048"
+        assert result.violations == tuple(
+            f"left the eps-tube at t={i * 5e-6:.6g} after entering at 0.00048" for i in range(554, 801))
+
+    @staticmethod
+    def floats_only(f):
+        """f evaluated one point at a time: it raises on arrays."""
+        return lambda t, y: f(float(t), float(y))
+
+    @staticmethod
+    def lists_for_arrays(f):
+        """f, but a list where it would give an array."""
+        return lambda t, y: f(t, y).tolist() if isinstance(t, np.ndarray) else f(t, y)
+
+    @pytest.mark.parametrize("text", (SINGULAR, DRIFT, "-y - y^3", "-2*y*(1 + t*100)"))
+    @pytest.mark.parametrize("twin", ("floats_only", "lists_for_arrays"))
+    def test_non_array_field_gives_the_same_result(self, text, twin):
+        field = parse_scalar_field(text)
+        array_calls = []
+
+        def spy(t, y):
+            if isinstance(t, np.ndarray):
+                array_calls.append(t.shape)
+            return field(t, y)
+
+        want = apps.match_simulate(field_problem(spy))
+        # The attraction grid above and below the curve, then the probe at
+        # the 800 step times, each as one call.
+        assert array_calls == [(13, 9), (13, 9), (800,), (800,)]
+        got = apps.match_simulate(field_problem(getattr(self, twin)(field)))
+        assert got.ts.tobytes() == want.ts.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+        for name in ("t_enter_halo", "t_enter_eps_tube", "halo_radius", "tube_radius", "t_singular", "violations"):
+            assert getattr(got, name) == getattr(want, name), name
+
+    @pytest.mark.parametrize("twin", ("floats_only", "lists_for_arrays"))
+    def test_first_sign_failure_in_row_major_order(self, twin):
+        # Fails at t = 0 above |y| = 1/2, and at every later t below |y| = 1/20.
+        def field(t, y):
+            return -y * (1 - 3 * ((t == 0) & (abs(y) > 0.5) | (t > 0) & (abs(y) < 0.05)))
+
+        messages = []
+        for f in (field, getattr(self, twin)(field)):
+            with pytest.raises(NotAttractive) as exc:
+                apps.match_simulate(field_problem(f))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("sign condition fails at (t=0, |y|=0.6")
+
+    def test_pole_met_first_by_the_probe_still_raises(self):
+        # At t = 107*dt the probe divides 0.0 by 0.0; no RK4 stage of a step
+        # before it lands on that time.
+        dt = 5e-6
+        pole = 107 * dt
+        calls = []
+
+        def field(t, y):
+            calls.append((t, y))
+            return -y * (1 + 0.0 / (t - pole))
+
+        with pytest.raises(ZeroDivisionError):
+            apps.match_simulate(field_problem(field))
+        assert calls[-1] == (pole, 1e-4)

@@ -401,6 +401,13 @@ class TestFailuresExit2:
         assert [str(w.message) for w in caught] == []
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_pole_of_the_field_in_time(self, capsys):
+        # The pole at t = 1/1600 is a step time of the run.
+        err = self.assert_error(
+            capsys, "match", "--f", "-y/(t - 1/1600)^2", "--eps", "1e-4", "--y0", "1", "--tmax", "4e-3"
+        )
+        assert err == "error: float division by zero\n"
+
     def test_field_not_real_on_the_band(self, capsys):
         # At -y the field is the square root of a negative number: nan at numpy scalars.
         err = self.assert_error(

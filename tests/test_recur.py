@@ -134,6 +134,62 @@ class TestPaths:
             got, want = step(0, grid[0], grid[1:]), self.two_where_sum(grid)
         assert got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def one_where_sum(xs):
+        """The compensated step with one np.where per summand after the first,
+        which took the rounding error as (larger - sum) + smaller."""
+        total, err = xs[0] + 0.0, xs[0] - xs[0]
+        for x in xs[1:]:
+            t = total + x
+            err += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
+            total = t
+        return total + err
+
+    @staticmethod
+    def random_doubles(rng, size):
+        """Doubles of every kind: any bit pattern (subnormals, inf and nan
+        among them), signed zeros and specials, values near 1e300 and near
+        the largest double, and ordinary magnitudes."""
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, np.inf, -np.inf, np.nan, 1.0, -1.0,
+                            1e300, -1e300, np.finfo(float).max, -np.finfo(float).max])
+        sign = rng.choice((-1.0, 1.0), size)
+        kinds = [
+            rng.integers(0, 2 ** 64, size, dtype=np.uint64).view(np.float64),
+            rng.choice(special, size),
+            sign * 1e300 * rng.uniform(0.5, 2.0, size),
+            sign * np.finfo(float).max * rng.uniform(0.25, 1.0, size),
+            sign * 2.0 ** -1022 * rng.uniform(0.0, 4.0, size),
+            sign * rng.uniform(1.0, 2.0, size) * 10.0 ** rng.integers(-30, 30, size),
+        ]
+        return np.choose(rng.integers(0, len(kinds), size), kinds)
+
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_two_sum_step_matches_one_where_sum(self, conc_coarse, monkeypatch, k):
+        rng = np.random.default_rng(100 + k)
+        xs = [self.random_doubles(rng, 200_000) for _ in range(k)]
+        with np.errstate(all="ignore"):
+            # Near cancellation: the next summand undoes most of the last one.
+            xs[1][::3] = -xs[0][::3] * (1.0 + rng.uniform(-1e-12, 1e-12, xs[0][::3].size))
+        f = Var("u")
+        for _ in range(k - 1):
+            f = Add(f, Const(monomial(0)))
+        step = self.compensated_step(monkeypatch, conc_coarse, f)
+        with np.errstate(all="ignore"):  # as inside a run
+            got, want = step(0, xs[0], xs[1:]), self.one_where_sum(xs)
+        # TwoSum's t - total overflows, and its error is nan, only when a
+        # summand lies within two ulps of the largest double.
+        top = np.nextafter(np.nextafter(np.finfo(float).max, 0), 0)
+        edge = np.any([np.abs(x) >= top for x in xs], axis=0)
+        finite = np.isfinite(want) & ~edge
+        assert finite.sum() > 100_000 and (~np.isfinite(want) & ~edge).sum() > 2_000
+        assert got[finite].tobytes() == want[finite].tobytes()
+        # Elsewhere the same class, so a run refuses the step in the same words.
+        rest = ~finite & ~edge
+        assert np.array_equal(np.isnan(got[rest]), np.isnan(want[rest]))
+        assert np.array_equal(np.isinf(got[rest]), np.isinf(want[rest]))
+        differs = got.view(np.uint64) != want.view(np.uint64)
+        assert np.isnan(got[edge & differs]).all()
+
     def test_compensated_paths_match_two_where_sum(self, conc_coarse):
         # The benchmark's affine family, and a lone summand.
         rng = random.Random(5)
@@ -166,6 +222,36 @@ class TestPaths:
             sample_paths(spec, conc_coarse, count=2, seed=1)
         with pytest.raises(NumericOverflow, match=r"^reference path left double range at step n=1$"):
             reference_path(affine_spec(monomial(10 ** 200), ZERO, one, horizon=4), conc_coarse)
+
+    def test_overflow_before_an_arithmetic_error_is_refused_first(self, conc_coarse):
+        # The value leaves double range at n=1745; (3/2)^n raises at n=1751,
+        # before the loop tests the rows in between.
+        spec = RecurrenceSpec(parse_recur_rhs("10^200*u^2 + (3/2)^n"), one, horizon=20, n0=1745)
+        with pytest.raises(NumericOverflow, match=r"^reference path left double range at step n=1745$"):
+            reference_path(spec, conc_coarse)
+
+    def test_overflow_that_comes_back_is_refused_at_its_step(self, conc_coarse):
+        # Out of double range at every odd row, back at 0 at every even one,
+        # as at row 32, where the loop tests; (3/2)^n raises at the next step.
+        spec = RecurrenceSpec(parse_recur_rhs("u + 10^301*(-1)^n + 0*(3/2)^n"), monomial(0), horizon=64, n0=1719)
+        with pytest.raises(NumericOverflow, match=r"^reference path left double range at step n=1719$"):
+            reference_path(spec, conc_coarse)
+        with pytest.raises(NumericOverflow, match=r"^path left double range at step n=1719$"):
+            sample_paths(spec, conc_coarse, count=3, seed=1)
+
+    def test_overflow_stops_the_loop_early(self, conc_coarse, monkeypatch):
+        # Out of double range at n=1 of 10^5 steps: the loop stops at its
+        # next overflow test, within 32 steps.
+        steps = []
+        run = recur._run
+
+        def spy(step, *rest):
+            return run(lambda n, u, draws: (steps.append(n), step(n, u, draws))[1], *rest)
+
+        monkeypatch.setattr(recur, "_run", spy)
+        with pytest.raises(NumericOverflow, match=r"^reference path left double range at step n=1$"):
+            reference_path(affine_spec(monomial(10 ** 200), ZERO, one, horizon=10 ** 5), conc_coarse)
+        assert 2 <= len(steps) <= 32 and steps == list(range(len(steps)))
 
     @pytest.mark.parametrize("what", ("path", "reference path", "perturbed path"))
     def test_every_run_refuses_overflow_alike(self, conc_coarse, what):
