@@ -151,7 +151,10 @@ class SlowCurveProblem:
     """eps0 * dy/dt = f(t, y) near the attractive slow curve y = 0.
 
     ``attract_width`` is the half-width of the band where the sign conditions
-    (f < 0 above the curve, f > 0 below) are sampled and required.
+    (f < 0 above the curve, f > 0 below) are sampled and required.  The
+    sign and singular-point probes call f on arrays of their points; where f
+    does not give a float array for them, they call it at floats point by
+    point, and a call that raises gives nan.  The RK4 steps call f at floats.
     """
 
     f: Callable[[float, float], float]
@@ -194,16 +197,28 @@ class MatchResult:
             yield t, y, self.region(i)
 
 
-def _field_array(f: Callable, t: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
-    """f(t, y) at arrays of one shape, or None where f is not array-capable:
-    it raises on arrays, or does not give a float array of their shape."""
-    try:
-        with np.errstate(all="ignore"):
+def _field_array(f: Callable, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """f(t, y) at arrays of one shape, as a float64 array of that shape.
+
+    One array call of f gives it where f gives such an array.  Otherwise f is
+    called at floats point by point, and a call that raises gives nan, as an
+    array call gives at a pole.
+    """
+    with np.errstate(all="ignore"):
+        try:
             out = f(t, y)
-    except Exception:  # the scalar calls that replace this one raise what f raises at floats
-        return None
-    ok = isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == t.shape
-    return out if ok else None
+            if isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == t.shape:
+                return out
+        except Exception:  # f is not array-capable
+            pass
+        return np.array([_field_float(f, float(a), float(b)) for a, b in zip(t.flat, y.flat)]).reshape(t.shape)
+
+
+def _field_float(f: Callable, t: float, y: float) -> float:
+    try:
+        return float(f(t, y))
+    except Exception:
+        return math.nan
 
 
 def _check_attractive(p: SlowCurveProblem, halo_radius: float) -> None:
@@ -211,19 +226,11 @@ def _check_attractive(p: SlowCurveProblem, halo_radius: float) -> None:
     ts = np.linspace(0.0, p.t_max, 13)
     ys = np.geomspace(max(halo_radius * 2, 1e-12), p.attract_width, 9)
     tt, yy = np.meshgrid(ts, ys, indexing="ij")
-    above, below = _field_array(p.f, tt, yy), _field_array(p.f, tt, -yy)
-    # At numpy scalars and arrays a pole of f gives inf or nan instead of
-    # raising; the run itself calls f at floats and reports the pole.
-    with np.errstate(all="ignore"):
-        if above is None or below is None:
-            # Written so that a nan sample fails the test.
-            fails = ((t, y) for t in ts for y in ys if not (p.f(t, y) < 0 and p.f(t, -y) > 0))
-        else:
-            bad = ~((above < 0) & (below > 0))
-            fails = zip(tt[bad], yy[bad])  # in row-major order, as the loop above
-        first = next(fails, None)
-    if first is not None:
-        t, y = first
+    # A pole of f gives inf or nan here, which fails the test; the run itself
+    # calls f at floats and reports the pole.
+    bad = ~((_field_array(p.f, tt, yy) < 0) & (_field_array(p.f, tt, -yy) > 0))
+    if bad.any():
+        t, y = tt[bad][0], yy[bad][0]  # the first in row-major order
         raise NotAttractive(
             f"sign condition fails at (t={t:.4g}, |y|={y:.4g}): "
             "trajectories do not approach the slow curve"
@@ -234,23 +241,17 @@ def _singular_step(f: Callable, ts: np.ndarray, fd: float, slope_sign: float) ->
     """The first index of ``ts`` where the sign of f(t, fd) - f(t, 0) is not
     ``slope_sign``, or len(ts): where the slow curve stops being attractive.
 
-    One array call of f per probe height gives every sign.  A pole gives inf
-    or nan there where a float call raises, so a point that is not finite is
-    evaluated at floats, as is every point where f is not array-capable.
+    One array call of f per probe height gives every sign, with a float call
+    per point where f is not array-capable (see :func:`_field_array`).  A pole
+    gives inf or nan there where a float call of f raises, so a point that is
+    not finite is evaluated again by float calls, which raise at a pole.
     """
-    up = _field_array(f, ts, np.full_like(ts, fd))
-    at = _field_array(f, ts, np.zeros_like(ts))
-    if up is None or at is None:
-        diff, suspects = None, range(len(ts))
-    else:
-        diff = up - at
-        suspects = np.flatnonzero((np.copysign(1.0, diff) != slope_sign) | ~np.isfinite(diff))
-    for i in suspects:
+    with np.errstate(all="ignore"):
+        diff = _field_array(f, ts, np.full_like(ts, fd)) - _field_array(f, ts, np.zeros_like(ts))
+    for i in np.flatnonzero((np.copysign(1.0, diff) != slope_sign) | ~np.isfinite(diff)):
         t = float(ts[i])
-        if diff is None or not math.isfinite(diff[i]):
-            if math.copysign(1.0, f(t, fd) - f(t, 0.0)) == slope_sign:
-                continue
-        return int(i)
+        if math.isfinite(diff[i]) or math.copysign(1.0, f(t, fd) - f(t, 0.0)) != slope_sign:
+            return int(i)
     return len(ts)
 
 
@@ -265,7 +266,7 @@ def match_simulate(p: SlowCurveProblem, conc: Optional[Concretization] = None) -
     The step loop is RK4 alone.  The attraction check and the singular-point
     probe each call f once per probe height, on an array of all their
     points, and fall back to a float call per point where f is not
-    array-capable.
+    array-capable; there a call that raises gives nan.
     """
     if conc is None:
         conc = Concretization(eps0=min(p.eps0, 1e-2))

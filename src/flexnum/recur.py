@@ -11,9 +11,9 @@ Every path (sampled, reference or perturbed) advances through one step
 loop, :func:`_run`, with one overflow rule: a step is refused unless every
 value has magnitude at most 1e300, and the refusal says whether the step
 left the reals (nan) or double range.  The loop tests that rule once every
-32 steps, over all the rows since its last test, and looks back over those
-rows before it refuses an arithmetic error in a step; so every refusal names
-the step that a test after each step would.  A run draws all its steps as one
+32 steps, and an arithmetic error or a complex value in a step ends it with
+a non-finite row; one scan of all the rows then names the first bad step, the
+step that a test after each step would.  A run draws all its steps as one
 block; the stability check batches its ten runs as columns of one run: the
 reference path first, then the stability run and eight tolerance-scale runs.
 
@@ -58,11 +58,6 @@ class RecurrenceSpec:
     u0: ExternalNumber
     horizon: int
     n0: int = 0
-
-    def parameters(self) -> List[ExternalNumber]:
-        params: List[ExternalNumber] = []
-        _compile(self.f, params)
-        return params
 
 
 @dataclass(frozen=True)
@@ -114,33 +109,34 @@ def _run(step: Callable, values: np.ndarray, n0: int, centers: List[float], nois
     rather than double range, and says so.  ``groups`` are named runs batched
     as columns, in the order they would go in turn: only the first stops the
     loop, and the first group with a bad step is refused, at its first bad
-    step.  The loop tests the first group every ``_TEST_EVERY`` steps, over
-    all the rows since its last test, and after the last step; so it stops at
-    most that many steps past the first bad one, and the refusal still names
-    that step.  A Python-float ``ArithmeticError`` in a step (``b ** n`` of a
-    geometric leaf overflowing, ``0 ** -1`` of an index leaf, where numpy
-    columns would hold inf) is the same in every column, and is refused as
-    the first group's, unless an untested row before it is already bad: the
-    loop would have stopped there, and that row is refused.
+    step.  The loop tests the first group over the last ``_TEST_EVERY`` rows
+    every ``_TEST_EVERY`` steps, so it stops at most that many steps past the
+    first bad one.  An arithmetic error in a step (at Python floats ``b ** n``
+    of a geometric leaf overflows and ``0 ** -1`` of an index leaf raises,
+    where numpy columns hold inf) ends the loop with a row of inf, and a
+    complex value (``(-1) ** 0.5`` at Python floats) with a row of nan.  One
+    scan of all the rows after the loop names the refused step.
     """
     draws = [np.full(values.shape[1], c, dtype=float) for c in centers]
     first = values[:, groups[0][1]]
-    steps = len(values) - 1
-    tested = 0  # rows 1..tested of the first group are tested and good
     with np.errstate(all="ignore"):
-        for i in range(steps):
+        for i in range(len(values) - 1):
             for j, row in zip(noisy, blocks(i)):
                 draws[j] = row
             try:
-                values[i + 1] = step(n0 + i, values[i], draws)
+                x = step(n0 + i, values[i], draws)
             except ArithmeticError:
-                if not (np.abs(first[tested + 1:i + 1]) <= _OVERFLOW).all():
-                    break  # the loop would have stopped at that row
-                raise NumericOverflow(f"{groups[0][0]} left double range at step n={n0 + i}") from None
-            if (i + 1) % _TEST_EVERY == 0 or i + 1 == steps:
-                if not (np.abs(first[tested + 1:i + 2]) <= _OVERFLOW).all():
-                    break  # the first group is refused below; the rows past this one stay unset
-                tested = i + 1
+                values[i + 1] = np.inf
+                break
+            try:
+                np.copyto(values[i + 1], x, casting="same_kind")
+            except TypeError:
+                if not np.iscomplexobj(x):
+                    raise
+                values[i + 1] = np.nan
+                break
+            if (i + 1) % _TEST_EVERY == 0 and not (np.abs(first[i + 2 - _TEST_EVERY:i + 2]) <= _OVERFLOW).all():
+                break  # the first group is refused below; the rows past this one stay unset
         ok = np.abs(values[1:]) <= _OVERFLOW
     for what, cols in groups:
         bad = ~ok[:, cols].all(axis=1)
@@ -197,14 +193,15 @@ def sample_paths(
             # by TwoSum: exact whichever operand is larger, unless t - total
             # overflows, which needs a summand within two ulps of the largest
             # double.  The first summand is exact: its error is 0, or nan if
-            # it is inf or nan.
+            # it is inf or nan.  Not summed in place, so that a complex
+            # summand gives a complex value, which _run refuses.
             x = summands[0](n, u, draws)
             total, err = x + 0.0, x - x
             for fn in summands[1:]:
                 x = fn(n, u, draws)
                 t = total + x
                 b = t - total
-                err += (total - (t - b)) + (x - b)
+                err = err + ((total - (t - b)) + (x - b))
                 total = t
             return total + err
 

@@ -249,6 +249,22 @@ class TestMatchBookkeeping:
         assert messages[0] == messages[1]
         assert messages[0].startswith("sign condition fails at (t=0, |y|=0.6")
 
+    def test_field_raising_on_the_grid_fails_the_sign_test(self):
+        # The array field gives inf at the fourth grid time; called at floats,
+        # it divides by zero there.  Either fails the sign test at that point.
+        pole = float(np.linspace(0.0, 4e-3, 13)[3])
+
+        def field(t, y):
+            return -y + 1e-300 / (t - pole) ** 2
+
+        messages = []
+        for f in (field, self.floats_only(field)):
+            with pytest.raises(NotAttractive) as exc:
+                apps.match_simulate(field_problem(f))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("sign condition fails at (t=0.001, |y|=")
+
     def test_pole_met_first_by_the_probe_still_raises(self):
         # At t = 107*dt the probe divides 0.0 by 0.0; no RK4 stage of a step
         # before it lands on that time.

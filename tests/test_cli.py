@@ -429,6 +429,17 @@ class TestFailuresExit2:
         )
         assert err == "error: reference path left double range at step n=1751\n"
 
+    def test_complex_value_of_an_index_only_leaf(self, capsys):
+        # (-1.0) ** 0.5 at n=1 is a Python complex, not a number of the run.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.assert_error(
+                capsys, "recur", "--f", "u/2 + ((-1)^n)^(1/2)", "--u0", "0", "--neutrix", "e*L",
+                "--horizon", "2000", "--samples", "50",
+            )
+        assert [str(w.message) for w in caught] == []
+        assert err == "error: reference path is not a number at step n=1\n"
+
     def test_arithmetic_error_of_an_index_leaf(self, capsys):
         # 0 ** -1.0 at n=0 raises in Python, where a numpy column holds inf.
         err = self.assert_error(

@@ -1,4 +1,4 @@
-"""Every script in ``demos/`` runs to the end in a fresh interpreter."""
+"""Every script in ``demos/`` runs to the end in a fresh interpreter, writing nothing on stderr."""
 
 import os
 import subprocess
@@ -19,4 +19,4 @@ def test_demo_runs_clean(name):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr

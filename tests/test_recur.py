@@ -36,6 +36,13 @@ import support  # noqa: E402
 one = monomial(1)
 
 
+def parameters(f):
+    """The Const leaves of f, in the order its compiled step reads their draws."""
+    params = []
+    recur._compile(f, params)
+    return params
+
+
 def drain_spec(a: int = 2, horizon: int = 400) -> RecurrenceSpec:
     """u_{n+1} = (-1 + n^-a) u_n + 2 - n^-a + (-1)^n (n^-a - (n+1)^-a - n^-2a).
 
@@ -87,7 +94,7 @@ class TestPaths:
         u = Var("u")
         f = Add(Add(Div(Mul(a, u), Add(b, N)), Div(Pow(Div(u, c), 2), d)), e)
         spec = RecurrenceSpec(f, one, horizon=8)
-        assert spec.parameters() == leaves
+        assert parameters(spec.f) == leaves
         plain = sample_paths(spec, conc_coarse, count=4, seed=5)
         compensated = sample_paths(spec, conc_coarse, count=4, seed=5, compensated=True)
         for p, q in zip(plain, compensated):
@@ -276,6 +283,18 @@ class TestPaths:
         spec = RecurrenceSpec(parse_recur_rhs("u + u^2"), monomial(0), horizon=200)
         with pytest.raises(NumericOverflow, match=r"^perturbed path left double range at step n=44$"):
             classify_stability(spec, monomial(0), pound(1), conc_coarse, samples=200, seed=1)
+
+    @pytest.mark.parametrize("compensated", (False, True))
+    def test_complex_value_is_not_a_number(self, conc_coarse, compensated):
+        # ((-1)^n)^(1/2) is (-1.0) ** 0.5 at n=1, a Python complex.
+        spec = RecurrenceSpec(parse_recur_rhs("u/2 + ((-1)^n)^(1/2)"), monomial(0), horizon=40)
+        with pytest.raises(NumericOverflow, match=r"^path is not a number at step n=1$"):
+            sample_paths(spec, conc_coarse, count=3, seed=1, compensated=compensated)
+
+    def test_type_error_of_a_step_propagates(self):
+        with pytest.raises(TypeError):
+            recur._run(lambda n, u, draws: u + None, np.zeros((5, 2)), 0, [], [], lambda i: (),
+                       [("path", slice(None))])
 
     def test_path_set_views(self, conc_coarse):
         # One noisy parameter and one precise one, 1/10.
@@ -663,7 +682,7 @@ class TestDrawOrder:
         ref = reference_path(RecurrenceSpec(spec.f, reference, spec.horizon, spec.n0), conc)
         r_noise = conc.radius(noise)
         rng = np.random.default_rng([conc.seed, seed, 7])
-        params = spec.parameters()
+        params = parameters(spec.f)
         step = recur._compile(spec.f, [])
         paths = []
 
@@ -713,7 +732,7 @@ class TestDrawOrder:
             assert p.start == q.start
             assert p.values.tobytes() == q.values.tobytes()
             assert [d.tobytes() for d in p.draws] == [d.tobytes() for d in q.draws]
-        params = spec.parameters()
+        params = parameters(spec.f)
         assert log == [(u0, 9)] + [(a, 9) for _ in range(spec.horizon) for a in params]
 
     CASES = ("benchmark", "benchmark-zero-noise", "drain")
@@ -733,7 +752,7 @@ class TestDrawOrder:
         want, log = reference(classify_stability, *args, samples=40, seed=5)
         assert got.evidence["route"] == "sampled falsification"
         assert repr(got.to_dict()) == repr(want.to_dict())
-        params = spec.parameters()
+        params = parameters(spec.f)
         # The 40 starting offsets inside the noise (none for zero noise), then
         # one 40-path stability run and eight 16-path tolerance-scale runs.
         noise = args[2]
