@@ -269,7 +269,7 @@ class ExternalNumber:
         return ExternalNumber(-self.rep, self.neutrix)
 
     def __sub__(self, other: "ExternalNumber") -> "ExternalNumber":
-        return self + (-other)
+        return ExternalNumber(self.rep - other.rep, self.neutrix + other.neutrix)
 
     def __mul__(self, other: "ExternalNumber") -> "ExternalNumber":
         noise = (
@@ -301,9 +301,14 @@ ZERO = ExternalNumber()
 
 
 def scale_noise(n: Neutrix, alpha: ExternalNumber) -> Neutrix:
-    """The neutrix alpha * N: fold N scaled by each rep term, plus N(alpha)*N."""
+    """The neutrix alpha * N: N scaled by alpha's leading term, plus N(alpha)*N.
+
+    Exponents ascend and N scaled by c*e^q is largest at the least q, so the
+    leading term's scaling contains every other term's.
+    """
     out = alpha.neutrix * n
-    for c, q in alpha.rep.terms:
+    if alpha.rep.terms:
+        c, q = alpha.rep.terms[0]
         out = out + n.scaled(c, q)
     return out
 
@@ -321,43 +326,64 @@ def mul(a: ExternalNumber, b: ExternalNumber) -> ExternalNumber:
 
 
 def div(num: ExternalNumber, den: ExternalNumber) -> ExternalNumber:
-    """Quotient num/den through the identity beta/alpha = alpha*beta / a^2.
+    """Quotient (b + B)/(a + A) as b times the divisor's truncated inverse 1/a.
 
-    The representative square a^2 is inverted as a series, truncated at the
-    order where the remainder is absorbed by the result's neutrix.
+    The noise is (a*B + b*A + A*B)/a^2.  The inverse is truncated at the
+    order where the rest of b/a is absorbed by that noise.
     """
     if not den.is_zeroless:
         raise DivisionByNeutrix(f"divisor {den} contains zero")
-    prod = num * den
-    a2 = den.rep * den.rep
-    _, q0 = a2.leading()
-    noise = prod.neutrix.scaled(1, -q0)
-    if prod.rep.is_zero:
-        return ExternalNumber(ZERO_SERIES, noise)
-    # Inverse terms get shifted by the numerator's leading exponent before the
-    # final absorption, so truncate against the shifted neutrix.
-    q_num = prod.rep.leading()[1]
-    inv = a2.inverse(noise.scaled(1, -q_num))
-    return ExternalNumber(prod.rep * inv, noise)
+    q_a = den.rep.leading()[1]
+    prod_noise = scale_noise(den.neutrix, num) + scale_noise(num.neutrix, den) + num.neutrix * den.neutrix
+    noise = prod_noise.scaled(1, -2 * q_a)
+    if not num.rep.is_zero:
+        q_b = num.rep.leading()[1]
+        # The quotient leads at q_b - q_a unless the noise absorbs it there.
+        if not noise.absorbs(q_b - q_a):
+            return ExternalNumber(num.rep * den.rep.inverse(noise.scaled(1, -q_b)), noise)
+    return from_neutrix(noise)
+
+
+def _lead_difference(x: FormalSeries, y: FormalSeries):
+    """The first term (c, q) of x - y, by one merge scan; None when x == y."""
+    a, b = x.terms, y.terms
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ca, qa), (cb, qb) = a[i], b[j]
+        if qa < qb:
+            return a[i]
+        if qb < qa:
+            return -cb, qb
+        if ca != cb:
+            return ca - cb, qa
+        i += 1
+        j += 1
+    if i < len(a):
+        return a[i]
+    if j < len(b):
+        c, q = b[j]
+        return -c, q
+    return None
 
 
 def subset(a: ExternalNumber, b: ExternalNumber) -> bool:
-    """Set containment a ⊆ b on canonical forms."""
+    """Set containment a ⊆ b on canonical forms: b's noise absorbs a - b."""
     if not a.neutrix <= b.neutrix:
         return False
-    diff = a.rep - b.rep
-    return all(b.neutrix.absorbs(q) for _, q in diff.terms)
+    lead = _lead_difference(a.rep, b.rep)
+    return lead is None or b.neutrix.absorbs(lead[1])
 
 
 def disjoint(a: ExternalNumber, b: ExternalNumber) -> bool:
     """Two external numbers are either disjoint or nested; disjoint iff b - a is zeroless."""
-    return (b - a).is_zeroless
+    lead = _lead_difference(b.rep, a.rep)
+    return lead is not None and not (a.neutrix + b.neutrix).absorbs(lead[1])
 
 
 def lt(a: ExternalNumber, b: ExternalNumber) -> bool:
-    """Every element of a is below every element of b."""
-    d = b - a
-    return d.is_zeroless and d.rep.leading()[0] > 0
+    """Every element of a is below every element of b: b - a is zeroless and positive."""
+    lead = _lead_difference(b.rep, a.rep)
+    return lead is not None and lead[0] > 0 and not (a.neutrix + b.neutrix).absorbs(lead[1])
 
 
 def gt(a: ExternalNumber, b: ExternalNumber) -> bool:

@@ -39,6 +39,24 @@ class TestEval:
         code, _, err = run(capsys, "eval", "5 + + *")
         assert code == 2 and "position" in err
 
+    @pytest.mark.parametrize("expr, message", [
+        ("1/(1 + e)", "1/(1 + e) has no finite series form against neutrix 0"),
+        ("(e+M)/(1+e)", "1/(1 + e) has no finite series form against neutrix M"),
+        ("1/(1+e+e^65*L)", "series inverse of 1 + e against neutrix e^65*L needs 65 rounds, more than 64"),
+        ("1/(e+e^2+e^67*L)", "series inverse of e + e^2 against neutrix e^65*L needs 66 rounds, more than 64"),
+    ], ids=["exact", "microhalo", "65-rounds", "shifted"])
+    def test_division_refusal_names_the_divisor(self, capsys, expr, message):
+        code, out, err = run(capsys, "eval", expr)
+        caret = " " * (expr.index("/") + 2) + "^"
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} at position {expr.index('/')}\n  {expr}\n{caret}\n"
+
+    def test_division_at_the_round_limit(self, capsys):
+        # The powers of e reach e^64*L in the 64th and last round.
+        code, out, _ = run(capsys, "eval", "1/(1+e+e^64*L)")
+        want = "1" + "".join(f" {'-' if k % 2 else '+'} {'e' if k == 1 else f'e^{k}'}" for k in range(1, 64))
+        assert (code, out) == (0, want + " + e^64*L\n")
+
 
 class TestLimit:
     def test_plain(self, capsys):

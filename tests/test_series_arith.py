@@ -6,10 +6,13 @@ exponent as ``scale.exact`` gives it: an ``int`` exactly when it is
 integral).  The references
 below rebuild each result from all its monomials, as the constructor
 ``from_terms`` does, and expand the series inverse without truncating its
-powers; the fast paths must give the same series.
+powers; the fast paths must give the same series.  External-number division
+and order are checked the same way, against the formulations that build
+every product and difference whole.
 """
 
 import dataclasses
+import functools
 import itertools
 import os
 import random
@@ -22,7 +25,7 @@ from hypothesis import given
 import strategies as strat
 import support
 from flexnum import extnum, scale, seq
-from flexnum.errors import FlexError, UnrepresentableDivision
+from flexnum.errors import DivisionByNeutrix, FlexError, UnrepresentableDivision
 from flexnum.extnum import FormalSeries, monomial
 from flexnum.scale import FULL, MICRO, ZERO, oslash, pound
 
@@ -156,6 +159,104 @@ def test_inverse_round_limit(target, terms):
                        f"series inverse of {s} against neutrix {target} needs 65 rounds, more than 64")
     else:
         assert len(got.terms) == terms
+
+
+def ref_absorbs(nx, q):
+    """Whether e^q lies in nx, read off the chain 0 < M < e^p*o < e^p*L < R."""
+    if nx.is_full:
+        return True
+    return nx.is_mono and (q > nx.q or (q == nx.q and nx.kind is scale.Kind.POUND))
+
+
+def ref_scale_noise(n, alpha):
+    """alpha * n: n scaled by every term of alpha's series, plus N(alpha) * n."""
+    out = alpha.neutrix * n
+    for c, q in alpha.rep.terms:
+        out = out + n.scaled(c, q)
+    return out
+
+
+def ref_div(num, den):
+    """num/den through the identity b/a = a*b / a^2: the product built whole,
+    then multiplied by the inverse of the divisor's square."""
+    if not den.is_zeroless:
+        raise DivisionByNeutrix(f"divisor {den} contains zero")
+    noise = ref_scale_noise(den.neutrix, num) + ref_scale_noise(num.neutrix, den) + num.neutrix * den.neutrix
+    prod = extnum.ExternalNumber(num.rep * den.rep, noise)
+    a2 = den.rep * den.rep
+    noise = noise.scaled(1, -a2.terms[0][1])
+    if prod.rep.is_zero:
+        return extnum.from_neutrix(noise)
+    inv = a2.inverse(noise.scaled(1, -prod.rep.terms[0][1]))
+    return extnum.ExternalNumber(prod.rep * inv, noise)
+
+
+def ref_difference(a, b):
+    """The terms of b - a, built whole, that its noise N(a) + N(b) does not absorb."""
+    return [(c, q) for c, q in (b.rep + -a.rep).terms if not ref_absorbs(a.neutrix + b.neutrix, q)]
+
+
+def ref_lt(a, b):
+    kept = ref_difference(a, b)
+    return bool(kept) and kept[0][0] > 0
+
+
+def ref_subset(a, b):
+    diff = a.rep + -b.rep
+    return a.neutrix <= b.neutrix and all(ref_absorbs(b.neutrix, q) for _, q in diff.terms)
+
+
+def ref_disjoint(a, b):
+    return bool(ref_difference(a, b))
+
+
+ORDER_REFS = {
+    "sub": lambda a, b: a + (-b),
+    "lt": ref_lt,
+    "gt": lambda a, b: ref_lt(b, a),
+    "le": lambda a, b: ref_lt(a, b) or ref_subset(a, b),
+    "ge": lambda a, b: ref_lt(b, a) or ref_subset(a, b),
+    "subset": ref_subset,
+    "disjoint": ref_disjoint,
+}
+
+
+def _value_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except FlexError as exc:  # the refusal texts differ: ref_div names the divisor's square
+        return type(exc)
+
+
+@functools.lru_cache(maxsize=1)
+def reference_pairs():
+    """10 000 seeded pairs, each in both orders: the benchmark's stratified
+    stream and support.py's values."""
+    pairs = list(itertools.islice(inputs.extnum_pairs(random.Random("reference/1")), 6000))
+    rng = random.Random(9103)
+    pairs += [(support.rand_extnum(rng), support.rand_extnum(rng)) for _ in range(4000)]
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def test_division_matches_the_square_route():
+    seen = set()
+    for a, b in reference_pairs():
+        got, want = _value_or_refusal(extnum.div, a, b), _value_or_refusal(ref_div, a, b)
+        assert got == want, (a, b)
+        seen.add(got if isinstance(got, type) else "value")
+    assert seen == {"value", DivisionByNeutrix, UnrepresentableDivision}
+
+
+def test_order_and_noise_match_built_references():
+    seen = set()
+    for a, b in reference_pairs():
+        for name, ref in ORDER_REFS.items():
+            got = getattr(extnum, name)(a, b)
+            assert got == ref(a, b), (name, a, b)
+            seen.add((name, got if isinstance(got, bool) else "value"))
+        for n in (a.neutrix, b.neutrix, oslash(1), pound(-2)):
+            assert extnum.scale_noise(n, a) == ref_scale_noise(n, a), (n, a)
+    assert {(name, v) for name in ("lt", "gt", "le", "ge", "subset", "disjoint") for v in (True, False)} <= seen
 
 
 @pytest.mark.parametrize("nx", TARGETS, ids=str)
