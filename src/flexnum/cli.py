@@ -44,6 +44,8 @@ def _parse_segment(text: str) -> seq.Segment:
     if head == "all":
         return seq.all_naturals()
     if head == "finite":
+        if not tail.strip().removeprefix("-").isdecimal():
+            raise ValueError(f"segment finite:m needs an integer m, got {tail!r}")
         return seq.finite(int(tail))
     if head == "halo":
         return seq.halo_times(Fraction(tail))
@@ -164,6 +166,8 @@ def _cmd_borel_ritt(args) -> int:
 def _cmd_match(args) -> int:
     from . import apps
 
+    if args.csv_points < 1:
+        raise ValueError(f"--csv-points must be at least 1, got {args.csv_points}")
     conc = _conc_from_args(args)
     f = dsl.parse_scalar_field(args.f)
     dt = args.eps / 20.0 if args.dt == "auto" else float(args.dt)

@@ -35,7 +35,7 @@ from .scale import Neutrix, Rational, exact, power_text
 
 Term = Tuple[Fraction, Rational]  # (coefficient, exponent), coefficient != 0
 
-_MAX_INVERSE_ROUNDS = 64
+MAX_EXPANSION_ROUNDS = 64  # the cap of FormalSeries.inverse and of seq's series division
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,13 @@ class FormalSeries:
     def inverse(self, target: Neutrix) -> "FormalSeries":
         """Truncated series inverse: terms absorbed by ``target`` are dropped.
 
-        Exact for a single monomial.  Otherwise the geometric tail is expanded
-        until every further term of the inverse is absorbed by ``target``.
-        UnrepresentableDivision is raised when that takes more than
-        ``_MAX_INVERSE_ROUNDS`` powers, or when ``target`` absorbs no power
-        of e (it is {0} or the microhalo): then the quotient has no finite
-        representation.
+        Exact for a single monomial.  Otherwise 1/self = e^-q0/c0 * sum (-t)^m,
+        whose m-th power lands at e^(m*delta - q0), delta the lowest exponent
+        of t, a term no other product cancels: the expansion takes
+        ``target.rounds(-q0, delta)`` rounds, the rule seq's division shares.
+        UnrepresentableDivision is raised above ``MAX_EXPANSION_ROUNDS`` rounds,
+        or when ``target`` absorbs no power of e ({0} or the microhalo): then
+        the quotient has no finite representation.
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero series")
@@ -135,26 +136,17 @@ class FormalSeries:
         lead_inv = FormalSeries.monomial(1 / c0, -q0)
         if len(self.terms) == 1:
             return lead_inv
-        if not target.is_mono and not target.is_full:
-            # {0} and the microhalo absorb no power of e: the geometric tail
-            # of a multi-term inverse can never be cut off.
+        # t has only positive exponents: self = lead * (1 + t).
+        t = FormalSeries(self.terms[1:]).scaled(1 / c0, -q0)
+        rounds = target.rounds(-q0, t.terms[0][1])
+        if rounds is None:
             raise UnrepresentableDivision(
                 f"1/({self}) has no finite series form against neutrix {target}"
             )
-        # t has only positive exponents: self = lead * (1 + t).
-        t = FormalSeries(self.terms[1:]).scaled(1 / c0, -q0)
-        # The m-th power of t starts at m*delta (delta its lowest exponent),
-        # a term no other product cancels, and lands at m*delta - q0 in the
-        # inverse: the expansion ends at the least m the target absorbs there.
-        if target.is_full:
-            rounds = 1
-        else:
-            bound = Fraction(target.q + q0) / t.terms[0][1]
-            rounds = max(1, math.ceil(bound) if target.kind is scale.Kind.POUND else math.floor(bound) + 1)
-        if rounds > _MAX_INVERSE_ROUNDS:
+        if rounds > MAX_EXPANSION_ROUNDS:
             raise UnrepresentableDivision(
                 f"series inverse of {self} against neutrix {target} needs {rounds} rounds, "
-                f"more than {_MAX_INVERSE_ROUNDS}"
+                f"more than {MAX_EXPANSION_ROUNDS}"
             )
         out = FormalSeries.monomial(1, 0)
         power = out

@@ -59,6 +59,10 @@ class RecurrenceSpec:
     horizon: int
     n0: int = 0
 
+    def __post_init__(self):
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be at least 0, got {self.horizon}")
+
 
 @dataclass(frozen=True)
 class RepresentativePath:
@@ -490,6 +494,8 @@ def _classify_sampled(
     try:
         r_noise = conc.radius(noise)
         centers, noisy, draw = conc.drawer(params)
+        if min(h, samples) < 1:
+            raise ValueError(f"sampled stability needs a horizon and samples of at least 1, got {h} and {samples}")
         k = len(noisy)
         within = conc.sample_neutrix(noise, rng, size=samples)
         stab = draw(rng, h, samples)

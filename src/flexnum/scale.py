@@ -29,6 +29,7 @@ All values are immutable and hashable.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -120,6 +121,14 @@ class Neutrix:
             return q > self.q
         # Zero contains no nonzero number; Micro contains no finite power of e.
         return False
+
+    def rounds(self, q: Rational, step: Rational) -> Optional[int]:
+        """The least k >= 0 with ``self.absorbs(q + k*step)``, for step > 0;
+        None when no power of e is absorbed ({0} and M)."""
+        if self.variant is not _Variant.MONO:
+            return 0 if self.variant is _Variant.FULL else None
+        bound = Fraction(self.q - q) / step
+        return max(0, math.ceil(bound) if self.kind is Kind.POUND else math.floor(bound) + 1)
 
     # -- inclusion order ----------------------------------------------------
 

@@ -28,6 +28,9 @@ lists: products and quotients; sums, negations, parity maps and constants
 merge or map parts that are canonical already, and a leaf is one monomial.
 Each question normalizes its term once; the Cauchy test and the order
 relations reuse the form they hold.
+A quotient is a geometric expansion cut off where the noise absorbs the rest:
+in :func:`_nf_div` as in ``FormalSeries.inverse``, the rounds are counted by
+``Neutrix.rounds`` and capped by ``extnum.MAX_EXPANSION_ROUNDS``.
 Order questions decide alternation per parity, on that form: on the even and
 on the odd indices (-1)^n is a constant, so each alternating monomial
 becomes a plain one.
@@ -61,11 +64,9 @@ from .errors import (
     ZerolessRequired,
 )
 from .extnum import ExternalNumber, FormalSeries, _monomial_text, _rat_text, from_neutrix, monomial
-from .extnum import scale_noise, subset
+from .extnum import MAX_EXPANSION_ROUNDS, scale_noise, subset
 from .extnum import div as ext_div
 from .scale import Neutrix, Rational, exact
-
-_MAX_DIV_ROUNDS = 48
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +725,12 @@ def _noise_in_noise(key: NKey, n1: Neutrix, noise: Tuple[Tuple[NKey, Neutrix], .
 
 
 def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
+    """num/m0 times the expansion of 1/(1 + w), m0 the dominant point of den and
+    w = den/m0 - 1.  A point power is kept until it lies inside the result's
+    noise or vanishes into a tail.  When w has pure e-powers, of least exponent
+    delta, each kept point of round 1 that does not vanish is counted by
+    :meth:`scale.Neutrix.rounds` and a count above the cap, or none, is refused
+    at once.  Any other structure expands by trial under the same cap."""
     if not den.point and not den.noise:
         raise Unnormalizable("division by the zero sequence")
     if den.tails:
@@ -767,20 +774,12 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     if not wf.point and not wf.noise:
         return basef
 
-    def mark_trimmed(nf: NormalForm) -> NormalForm:
-        # Dropping expansion terms that are only eventually inside the noise
-        # leaves a form valid for large n, not pointwise.
-        return nf if nf.trimmed else _form(nf.point, nf.noise, nf.tails, True)
-
-    # Geometric expansion of 1/(1+w); noise powers collapse into the running
-    # noise keys, point powers are kept until they sit inside the result's
-    # noise for all large n, vanish into a recorded tail, or the expansion is
-    # declared outside the fragment.
     result = basef
     power = basef
     w_neg = _nf_neg(wf)
     dropped = False
-    for _ in range(_MAX_DIV_ROUNDS):
+    delta = min((k[0] for k, _ in wf.point if k[1:3] == (0, 1)), default=None)
+    for rnd in range(1, MAX_EXPANSION_ROUNDS + 1):
         power = _nf_mul(power, w_neg)
         # Keep what is not yet inside the noise of the result so far.
         point = [(k, c) for k, c in power.point if not _point_in_noise(*k[:3], result.noise)]
@@ -789,9 +788,19 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
         if len(point) + len(noise) + len(tails) < len(power.point) + len(power.noise) + len(power.tails):
             dropped = True
         if not (point or noise or tails):
-            return mark_trimmed(result) if dropped else result
+            # A term dropped as only eventually inside the noise leaves a form for large n.
+            return NormalForm(result.point, result.noise, result.tails, result.trimmed or dropped)
         power = _form(point, noise, tails)
         result = _nf_add(result, power)
+        if rnd == 1 and delta is not None:
+            # A kept point that does not vanish gains e^delta a round; its envelope's noise is fixed now.
+            at = dict(result.noise)
+            counts = [0 if _point_in_noise(q, r, b, result.noise) else at.get((r, b), scale.ZERO).rounds(q, delta)
+                      for (q, r, b, _s), _c in power.point if _growth(r, b) >= 0]
+            if None in counts:
+                raise Unnormalizable("series division has no finite series form: its noise absorbs no power of e")
+            if 1 + max(counts, default=0) > MAX_EXPANSION_ROUNDS:
+                raise Unnormalizable(f"series division needs {1 + max(counts)} rounds, more than {MAX_EXPANSION_ROUNDS}")
         # Once every surviving point monomial vanishes in n, one more factor of
         # w only shrinks it further: close with a tail bound.
         if power.point and not power.noise and all(_growth(k[1], k[2]) < 0 for k, _ in power.point):

@@ -7,10 +7,12 @@ import shlex
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from flexnum import cli, recur, seq
+from flexnum import cli, dsl, recur, seq
+from flexnum.concretize import Concretization
 from flexnum.cli import main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -88,6 +90,30 @@ class TestLimit:
     def test_divergent(self, capsys):
         code, out, _ = run(capsys, "limit", "n")
         assert code == 1 and "diverges" in out
+
+    @pytest.mark.parametrize("expr, rounds, noise", [
+        # The k-th round adds (-e^(1/30))^k; e^2*o absorbs it from k = 61 on,
+        # and e^(32/15)*L = e^(64/30)*L from k = 64 on, the last round allowed.
+        ("(1 + e^2*o)/(1 + e^(1/30) + 1/n)", 61, "e^2*o"),
+        ("1/(1 + e^(1/30) + e^(32/15)*L + 1/n)", 64, "e^(32/15)*L"),
+    ], ids=["61-rounds", "64-rounds"])
+    def test_division_closing_within_the_cap(self, capsys, expr, rounds, noise):
+        def power(k):
+            q = Fraction(k, 30)
+            return "e" if q == 1 else f"e^{q}" if q.denominator == 1 else f"e^({q})"
+        limit = "1" + "".join(f" {'-' if k % 2 else '+'} {power(k)}" for k in range(1, rounds)) + f" + {noise}"
+        code, out, _ = run(capsys, "limit", expr)
+        assert (code, out) == (0, f"status: converges\nlimit: {limit}\nminimal neutrix: {noise}\nstrong: True\n")
+
+    @pytest.mark.parametrize("expr, message", [
+        ("1/(1 + e^(1/30) + 1/n)", "series division has no finite series form: its noise absorbs no power of e"),
+        ("(3/2*w^3*(-1)^n)/(2 + 1/2*w^3 + 5*w^(3/2) + e^5 + M)",
+         "series division has no finite series form: its noise absorbs no power of e"),
+        ("1/(1 + e^(1/30) + e^(13/6)*L + 1/n)", "series division needs 65 rounds, more than 64"),
+    ], ids=["no-noise", "microhalo", "65-rounds"])
+    def test_division_that_never_closes(self, capsys, expr, message):
+        code, out, err = run(capsys, "limit", expr)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestCauchy:
@@ -498,3 +524,61 @@ class TestFailuresExit2:
             capsys, "match", "--f", "y + o", "--eps", "1e-4", "--y0", "1", "--tmax", "1e-3"
         )
         assert "unknown name 'o'" in err
+
+
+_RECUR = ("recur", "--f", "u/2 + u^2 + e*L", "--u0", "0", "--neutrix", "e*L")
+_MATCH = ("match", "--f", "-y", "--eps", "1e-2", "--y0", "1", "--tmax", "1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_RECUR + ("--samples", "10", "--horizon", "-1"), "horizon must be at least 0, got -1"),
+    (_RECUR + ("--samples", "10", "--horizon", "0"),
+     "sampled stability needs a horizon and samples of at least 1, got 0 and 10"),
+    (_RECUR + ("--samples", "-3"), "sampled stability needs a horizon and samples of at least 1, got 200 and -3"),
+    (_MATCH + ("--dt", "0"), "dt must be positive, got 0.0"),
+    (_MATCH + ("--dt", "-1"), "dt must be positive, got -1.0"),
+    (("match", "--f", "-y", "--eps", "0", "--y0", "1", "--tmax", "1"), "eps0 must be positive, got 0.0"),
+    (("match", "--f", "-y", "--eps", "1e-2", "--y0", "1", "--tmax", "-1"), "t_max must be positive, got -1.0"),
+    (_MATCH + ("--width", "0"), "attract_width must be positive, got 0.0"),
+    (("--format", "csv") + _MATCH + ("--csv-points", "0"), "--csv-points must be at least 1, got 0"),
+    (("limit", "1/n", "--wrt", "finite:x"), "segment finite:m needs an integer m, got 'x'"),
+], ids=["horizon-negative", "horizon-0-sampled", "samples-negative", "dt-0", "dt-negative", "eps-0",
+        "tmax-negative", "width-0", "csv-points-0", "finite-segment"])
+def test_bad_numeric_argument_is_named(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_negative_horizon_refused_by_the_spec():
+    f, u0 = dsl.parse_recur_rhs("u/2 + u^2 + e*L"), dsl.parse_extnum("0")
+    with pytest.raises(ValueError, match="horizon must be at least 0, got -1"):
+        recur.RecurrenceSpec(f, u0, -1)
+    # Zero steps stay legal for a path sample; the sampled verdict needs one.
+    assert recur.sample_paths(recur.RecurrenceSpec(f, u0, 0), Concretization(), count=2, seed=1).values.shape == (1, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    _RECUR + ("--samples", "10", "--horizon", "-1"),
+    _RECUR + ("--samples", "10", "--horizon", "0"),
+    _RECUR + ("--samples", "-3"),
+    _RECUR + ("--samples", "0"),
+    _MATCH + ("--dt", "0"),
+    _MATCH + ("--dt", "-1"),
+    ("match", "--f", "-y", "--eps", "0", "--y0", "1", "--tmax", "1"),
+    ("match", "--f", "-y", "--eps", "-1", "--y0", "1", "--tmax", "1"),
+    ("match", "--f", "-y", "--eps", "1e-2", "--y0", "1", "--tmax", "0"),
+    _MATCH + ("--width", "-1"),
+    ("--format", "csv") + _MATCH + ("--csv-points", "0"),
+    ("--format", "csv") + _MATCH + ("--csv-points", "-5"),
+    ("limit", "1/n", "--wrt", "finite:x"),
+    ("limit", "(1 + e^2*o)/(1 + e^(1/30) + 1/n)"),
+    ("limit", "(3/2*w^3*(-1)^n)/(2 + 1/2*w^3 + 5*w^(3/2) + e^5 + M)"),
+    ("limit", "1/(1 + e^(1/30) + 1/n)"),
+])
+def test_bad_arguments_exit_0_or_2_with_one_error_line(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, *argv)
+    assert code in (0, 2) and [str(w.message) for w in caught] == []
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -137,3 +138,25 @@ def test_text_rendering():
     assert str(oslash(2)) == "e^2*o"
     assert str(pound(-1)) == "w*L"
     assert str(pound(Fraction(3, 2))) == "e^(3/2)*L"
+
+
+def _rational(rng, lo, hi):
+    """An int or a Fraction of small denominator in [lo, hi], as scale.exact gives it."""
+    d = rng.choice((1, 2, 3, 4, 12))
+    return scale.exact(Fraction(rng.randint(lo * d, hi * d), d)) if rng.random() < 0.7 else rng.randint(lo, hi)
+
+
+def test_rounds_is_the_first_absorbed_round():
+    """Neutrix.rounds against a search over absorbs, for every variant and
+    kind, with starts on the boundary q + k*step == p half the time."""
+    rng = random.Random(3101)
+    seen = set()
+    for _ in range(1500):
+        nx = rng.choice([ZERO, MICRO, FULL, oslash(_rational(rng, -4, 4)), pound(_rational(rng, -4, 4))])
+        step = _rational(rng, 0, 3) or Fraction(1, 7)
+        q = nx.q - rng.randint(-3, 40) * step if nx.is_mono and rng.random() < 0.5 else _rational(rng, -8, 8)
+        want = next((k for k in range(200) if nx.absorbs(q + k * step)), None)
+        assert nx.rounds(q, step) == want, (nx, q, step)
+        seen.add((str(nx)[-1], want is None, want == 0, nx.is_mono and (nx.q - q) % step == 0))
+    assert {("L", False, False, True), ("o", False, False, True), ("0", True, False, False),
+            ("M", True, False, False), ("R", False, True, False)} <= seen

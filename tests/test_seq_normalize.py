@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ import strategies as strat
 import support
 from flexnum import dsl, seq
 from flexnum.errors import EvalDomain, Unnormalizable
-from flexnum.extnum import from_neutrix, monomial
-from flexnum.scale import MICRO, OSLASH, POUND, oslash, pound
+from flexnum.extnum import MAX_EXPANSION_ROUNDS, ExternalNumber, FormalSeries, from_neutrix, monomial
+from flexnum.scale import MICRO, OSLASH, POUND, ZERO, exact, oslash, pound
 from flexnum.seq import (
     ALT,
     Add,
@@ -376,3 +377,115 @@ def test_alternating_twins_merge_on_each_parity():
     _check_merges(normalize(dsl.parse_seq(twins)), normalize(dsl.parse_seq("o/n^2")))
     assert str(_parity(twins, 1)) == "4*n^-1 + e*L*n^-2"
     assert str(_parity(twins, -1)) == "2*n^-1 + -2*e + e*L*n^-2"
+
+
+def ref_nf_div(num, den, cap):
+    """num/den by the trial expansion: every round is expanded, up to ``cap``
+    rounds, and the division is refused only when that many do not close."""
+    if not den.point and not den.noise:
+        raise Unnormalizable("division by the zero sequence")
+    if den.tails:
+        raise Unnormalizable("division by a remainder-bearing denominator")
+    if any(k[3] for k, _ in den.point):
+        conj = seq._form(((k, (-c if k[3] else c)) for k, c in den.point), den.noise)
+        return ref_nf_div(seq._nf_mul(num, conj), seq._nf_mul(den, conj), cap)
+    dom = seq._dominant_point(den)
+    if dom is None:
+        raise Unnormalizable("denominator has no dominant precise monomial")
+    (q0, r0, b0, s0), c0 = dom
+    if any(k != dom[0] and not seq._size(q0, r0, b0) > seq._size(*k[:3]) for k, _ in den.point):
+        raise Unnormalizable("denominator is not eventually zeroless")
+    if seq._point_in_noise(q0, r0, b0, den.noise):
+        raise Unnormalizable("denominator noise is not dominated: not eventually zeroless")
+
+    def over_m0(point, noise):
+        return (
+            (((q - q0, r - r0, exact(Fraction(b, b0)), s != s0), c / c0) for (q, r, b, s), c in point),
+            (((r - r0, exact(Fraction(b, b0))), nx.scaled(1 / c0, -q0)) for (r, b), nx in noise),
+        )
+
+    wf = seq._form(*over_m0((kv for kv in den.point if kv[0] != dom[0]), den.noise))
+    basef = seq._form(
+        *over_m0(num.point, num.noise),
+        ((C / abs(c0), q - q0, r - r0, exact(Fraction(b, b0))) for (C, q, r, b) in num.tails),
+        num.trimmed or den.trimmed,
+    )
+    if not wf.point and not wf.noise:
+        return basef
+    result = power = basef
+    w_neg = seq._nf_neg(wf)
+    dropped = False
+    for _ in range(cap):
+        power = seq._nf_mul(power, w_neg)
+        point = [(k, c) for k, c in power.point if not seq._point_in_noise(*k[:3], result.noise)]
+        noise = [(k, nx) for k, nx in power.noise if not seq._noise_in_noise(k, nx, result.noise)]
+        tails = [t for t in power.tails if not seq._point_in_noise(*t[1:], result.noise)]
+        dropped = dropped or len(point) + len(noise) + len(tails) < len(power.point) + len(power.noise) + len(power.tails)
+        if not (point or noise or tails):
+            return seq._form(result.point, result.noise, result.tails, True) if dropped else result
+        power = seq._form(point, noise, tails)
+        result = seq._nf_add(result, power)
+        if power.point and not power.noise and all(seq._growth(k[1], k[2]) < 0 for k, _ in power.point):
+            wC, wq, wr, wb = seq._dominant_magnitude(wf)
+            closing = ((2 * abs(c) * wC, q + wq, r + wr, b * wb) for (q, r, b, _s), c in power.point)
+            return seq._form(result.point, result.noise, (*result.tails, *closing), result.trimmed or dropped)
+    raise Unnormalizable("series division does not close against the result's noise")
+
+
+def _division(rng):
+    """A quotient of one of three shapes: that of test_no_float_from_strategy_values,
+    two random grammar terms, or a constant over 1 + c*e^step + a noise + c'/n^r
+    with steps down to 1/40, whose expansions close on either side of the cap."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        k = support.rand_exponent(rng)
+        base = Geom(abs(k) + Fraction(1, 2))
+        return Div(Mul(Const(support.rand_extnum(rng)), base),
+                   Add(Const(support.rand_extnum(rng, zeroless=True)), Pow(N, -abs(k) - 1)))
+    if shape == 1:
+        return Div(support.rand_term(rng), support.rand_term(rng))
+    step = Fraction(rng.randint(1, 6), rng.randint(1, 40))
+    nx = rng.choice([ZERO, MICRO, oslash(rng.randint(1, 4)), pound(rng.randint(1, 4))])
+    den = ExternalNumber(FormalSeries.from_terms([(rng.randint(1, 4), 0), (support.rand_coeff(rng), step)]), nx)
+    noise = rng.choice([ZERO, oslash(Fraction(rng.randint(1, 8), 2)), pound(rng.randint(1, 3))])
+    vanishing = Div(Const(monomial(support.rand_coeff(rng))), Pow(N, rng.randint(1, 2)))
+    return Div(Const(support.rand_extnum(rng) + from_neutrix(noise)), Add(Const(den), vanishing))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Unnormalizable:
+        return Unnormalizable
+
+
+def test_division_matches_the_trial_expansion():
+    """Counting the rounds up front changes no answer of the expansion run to
+    the same cap: the same forms, and a refusal wherever it refuses."""
+    rng = random.Random(1)
+    seen = Counter()
+    for _ in range(500):
+        u = _division(rng)
+        num, den = _outcome(normalize, u.num), _outcome(normalize, u.den)
+        if num is Unnormalizable or den is Unnormalizable:
+            continue
+        got = _outcome(normalize, u)
+        assert got == _outcome(ref_nf_div, num, den, MAX_EXPANSION_ROUNDS), u
+        seen["refused" if got is Unnormalizable else "form"] += 1
+    assert seen["form"] > 300 and seen["refused"] > 50, seen
+
+
+@pytest.mark.parametrize("text", [
+    "1/(1 + e^(1/30) + 1/n)",
+    "(3/2*w^3*(-1)^n)/(2 + 1/2*w^3 + 5*w^(3/2) + e^5 + M)",
+    "1/(1 + e^(1/30) + e^(13/6)*L + 1/n)",
+], ids=["no-noise", "microhalo", "65-rounds"])
+def test_a_division_that_never_closes_is_refused_after_one_round(monkeypatch, text):
+    u = dsl.parse_seq(text)
+    num, den = normalize(u.num), normalize(u.den)
+    calls = []
+    real = seq._nf_mul
+    monkeypatch.setattr(seq, "_nf_mul", lambda a, b: calls.append(1) or real(a, b))
+    with pytest.raises(Unnormalizable):
+        seq._nf_div(num, den)
+    assert len(calls) <= 2
