@@ -273,6 +273,9 @@ def match_simulate(p: SlowCurveProblem, conc: Optional[Concretization] = None) -
     for name, x in (("eps0", p.eps0), ("dt", p.dt), ("t_max", p.t_max), ("attract_width", p.attract_width)):
         if not x > 0:
             raise ValueError(f"{name} must be positive, got {x}")
+    for name, x in (("eps0", p.eps0), ("y0", p.y0), ("t_max", p.t_max)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
     if p.dt > p.eps0 / 10.0:
         raise StepUnstable(f"dt={p.dt} too coarse; need dt <= eps0/10 = {p.eps0 / 10:.3g}")
     halo_radius = p.eps0 ** float(conc.delta)

@@ -21,6 +21,14 @@ from . import dsl, seq
 from .errors import FlexError
 
 
+def _rational(text: str, need: str) -> Fraction:
+    """``Fraction(text)``, or a ValueError that says ``need`` and quotes text."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{need}, got {text!r}") from None
+
+
 def _conc_from_args(args):
     from .concretize import Concretization
 
@@ -28,9 +36,9 @@ def _conc_from_args(args):
     if args.eps0 is not None:
         overrides["eps0"] = args.eps0
     if args.delta is not None:
-        overrides["delta"] = Fraction(args.delta)
+        overrides["delta"] = _rational(args.delta, "--delta needs a rational")
     if args.micro_exp is not None:
-        overrides["micro_exp"] = Fraction(args.micro_exp)
+        overrides["micro_exp"] = _rational(args.micro_exp, "--micro-exp needs a rational")
     if args.seed is not None:
         overrides["seed"] = args.seed
     return Concretization(**overrides)
@@ -48,9 +56,9 @@ def _parse_segment(text: str) -> seq.Segment:
             raise ValueError(f"segment finite:m needs an integer m, got {tail!r}")
         return seq.finite(int(tail))
     if head == "halo":
-        return seq.halo_times(Fraction(tail))
+        return seq.halo_times(_rational(tail, "segment halo:q needs a rational q"))
     if head == "galaxy":
-        return seq.galaxy_times(Fraction(tail))
+        return seq.galaxy_times(_rational(tail, "segment galaxy:q needs a rational q"))
     raise ValueError(f"unknown segment {text!r}; use limited/all/finite:m/halo:q/galaxy:q")
 
 
@@ -145,7 +153,7 @@ def _cmd_borel_ritt(args) -> int:
     from . import apps
 
     conc = _conc_from_args(args)
-    coeffs = [Fraction(c.strip()) for c in args.coeffs.split(",")]
+    coeffs = [_rational(c.strip(), "--coeffs needs comma-separated rationals") for c in args.coeffs.split(",")]
     shadow = apps.borel_ritt(coeffs, args.order)
     levels = range(args.order) if args.check_all else range(min(1, args.order))
     results = {n: apps.shadow_check(shadow.value, coeffs, n, conc) for n in levels}
@@ -312,11 +320,9 @@ def main(argv: Optional[list] = None) -> int:
         # point stdout at devnull so the interpreter's last flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except FlexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FlexError, ValueError, OverflowError, ZeroDivisionError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it could not make; a bare one prints its type.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except RecursionError:
         # A compiled term evaluates one nested call per level of the tree.

@@ -125,7 +125,7 @@ class FormalSeries:
         Exact for a single monomial.  Otherwise 1/self = e^-q0/c0 * sum (-t)^m,
         whose m-th power lands at e^(m*delta - q0), delta the lowest exponent
         of t, a term no other product cancels: the expansion takes
-        ``target.rounds(-q0, delta)`` rounds, the rule seq's division shares.
+        ``target.rounds(-q0, delta)`` rounds, counted before it expands.
         UnrepresentableDivision is raised above ``MAX_EXPANSION_ROUNDS`` rounds,
         or when ``target`` absorbs no power of e ({0} or the microhalo): then
         the quotient has no finite representation.

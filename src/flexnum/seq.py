@@ -28,9 +28,10 @@ lists: products and quotients; sums, negations, parity maps and constants
 merge or map parts that are canonical already, and a leaf is one monomial.
 Each question normalizes its term once; the Cauchy test and the order
 relations reuse the form they hold.
-A quotient is a geometric expansion cut off where the noise absorbs the rest:
-in :func:`_nf_div` as in ``FormalSeries.inverse``, the rounds are counted by
-``Neutrix.rounds`` and capped by ``extnum.MAX_EXPANSION_ROUNDS``.
+A quotient m0*(1 + w) expands 1/(1 + w) until the noise absorbs the rest, in at
+most ``extnum.MAX_EXPANSION_ROUNDS`` rounds.  :func:`_nf_div` follows each term
+p kept after round 1 as p*m^k, m the largest monomial of w, and refuses at once
+when p*m^k neither vanishes nor enters the noise within that cap.
 Order questions decide alternation per parity, on that form: on the even and
 on the odd indices (-1)^n is a constant, so each alternating monomial
 becomes a plain one.
@@ -727,10 +728,10 @@ def _noise_in_noise(key: NKey, n1: Neutrix, noise: Tuple[Tuple[NKey, Neutrix], .
 def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     """num/m0 times the expansion of 1/(1 + w), m0 the dominant point of den and
     w = den/m0 - 1.  A point power is kept until it lies inside the result's
-    noise or vanishes into a tail.  When w has pure e-powers, of least exponent
-    delta, each kept point of round 1 that does not vanish is counted by
-    :meth:`scale.Neutrix.rounds` and a count above the cap, or none, is refused
-    at once.  Any other structure expands by trial under the same cap."""
+    noise or vanishes into a tail.  After round 1 the result's noise is fixed,
+    and a kept point p has p*m^k, m the largest monomial of w, as its largest
+    descendant k rounds on: when that neither vanishes nor lies inside the
+    noise within ``MAX_EXPANSION_ROUNDS`` rounds, the division is refused at once."""
     if not den.point and not den.noise:
         raise Unnormalizable("division by the zero sequence")
     if den.tails:
@@ -778,7 +779,6 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
     power = basef
     w_neg = _nf_neg(wf)
     dropped = False
-    delta = min((k[0] for k, _ in wf.point if k[1:3] == (0, 1)), default=None)
     for rnd in range(1, MAX_EXPANSION_ROUNDS + 1):
         power = _nf_mul(power, w_neg)
         # Keep what is not yet inside the noise of the result so far.
@@ -792,15 +792,15 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
             return NormalForm(result.point, result.noise, result.tails, result.trimmed or dropped)
         power = _form(point, noise, tails)
         result = _nf_add(result, power)
-        if rnd == 1 and delta is not None:
-            # A kept point that does not vanish gains e^delta a round; its envelope's noise is fixed now.
-            at = dict(result.noise)
-            counts = [0 if _point_in_noise(q, r, b, result.noise) else at.get((r, b), scale.ZERO).rounds(q, delta)
-                      for (q, r, b, _s), _c in power.point if _growth(r, b) >= 0]
-            if None in counts:
-                raise Unnormalizable("series division has no finite series form: its noise absorbs no power of e")
-            if 1 + max(counts, default=0) > MAX_EXPANSION_ROUNDS:
-                raise Unnormalizable(f"series division needs {1 + max(counts)} rounds, more than {MAX_EXPANSION_ROUNDS}")
+        if rnd == 1 and power.point:
+            (mq, mr, mb, _s), mc = _dominant_point(wf)
+            for (q, r, b, _s), _c in power.point:
+                if not any(_growth(r + k * mr, b * mb**k) < 0
+                           or _point_in_noise(q + k * mq, r + k * mr, b * mb**k, result.noise)
+                           for k in range(MAX_EXPANSION_ROUNDS)):
+                    m = _point_text(mc, mq, mr, mb, False)
+                    raise Unnormalizable(f"series division does not close within {MAX_EXPANSION_ROUNDS} rounds: "
+                                         f"a term times ({m})^k neither vanishes nor enters the noise")
         # Once every surviving point monomial vanishes in n, one more factor of
         # w only shrinks it further: close with a tail bound.
         if power.point and not power.noise and all(_growth(k[1], k[2]) < 0 for k, _ in power.point):

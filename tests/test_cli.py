@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from flexnum import cli, dsl, recur, seq
+from flexnum import apps, cli, dsl, recur, seq
 from flexnum.concretize import Concretization
 from flexnum.cli import main
 
@@ -105,13 +105,16 @@ class TestLimit:
         code, out, _ = run(capsys, "limit", expr)
         assert (code, out) == (0, f"status: converges\nlimit: {limit}\nminimal neutrix: {noise}\nstrong: True\n")
 
-    @pytest.mark.parametrize("expr, message", [
-        ("1/(1 + e^(1/30) + 1/n)", "series division has no finite series form: its noise absorbs no power of e"),
-        ("(3/2*w^3*(-1)^n)/(2 + 1/2*w^3 + 5*w^(3/2) + e^5 + M)",
-         "series division has no finite series form: its noise absorbs no power of e"),
-        ("1/(1 + e^(1/30) + e^(13/6)*L + 1/n)", "series division needs 65 rounds, more than 64"),
-    ], ids=["no-noise", "microhalo", "65-rounds"])
-    def test_division_that_never_closes(self, capsys, expr, message):
+    @pytest.mark.parametrize("expr, ratio", [
+        ("1/(1 + e^(1/30) + 1/n)", "e^(1/30)"),
+        ("(3/2*w^3*(-1)^n)/(2 + 1/2*w^3 + 5*w^(3/2) + e^5 + M)", "10*e^(3/2)"),
+        ("1/(1 + e^(1/30) + e^(13/6)*L + 1/n)", "e^(1/30)"),
+        ("(2^n + n)/(3 + 1/n + (1/2)^n/n^2 + (1/3)^n)", "1/3*n^-1"),
+        ("(w^3 + w*(1/2)^n/n + 2^n)/(6*e^2 + n^-2 + (1/2)^n/n)", "1/6*w^2*n^-2"),
+    ], ids=["no-noise", "microhalo", "65-rounds", "growing-over-vanishing", "growing-over-vanishing-e"])
+    def test_division_that_never_closes(self, capsys, expr, ratio):
+        message = (f"series division does not close within 64 rounds: "
+                   f"a term times ({ratio})^k neither vanishes nor enters the noise")
         code, out, err = run(capsys, "limit", expr)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -542,9 +545,36 @@ _MATCH = ("match", "--f", "-y", "--eps", "1e-2", "--y0", "1", "--tmax", "1")
     (_MATCH + ("--width", "0"), "attract_width must be positive, got 0.0"),
     (("--format", "csv") + _MATCH + ("--csv-points", "0"), "--csv-points must be at least 1, got 0"),
     (("limit", "1/n", "--wrt", "finite:x"), "segment finite:m needs an integer m, got 'x'"),
+    (_MATCH[:6] + ("nan",) + _MATCH[7:], "y0 must be finite, got nan"),
+    (_MATCH[:6] + ("inf",) + _MATCH[7:], "y0 must be finite, got inf"),
+    (_MATCH[:8] + ("inf",), "t_max must be finite, got inf"),
+    (_MATCH[:4] + ("inf",) + _MATCH[5:], "eps0 must be finite, got inf"),
+    (("limit", "1/n", "--wrt", "halo:x"), "segment halo:q needs a rational q, got 'x'"),
+    (("limit", "1/n", "--wrt", "galaxy:1/0"), "segment galaxy:q needs a rational q, got '1/0'"),
+    (("--delta", "x") + _MATCH, "--delta needs a rational, got 'x'"),
+    (("--micro-exp", "1/0") + _MATCH, "--micro-exp needs a rational, got '1/0'"),
+    (("borel-ritt", "--coeffs", "1,x", "--order", "2"), "--coeffs needs comma-separated rationals, got 'x'"),
 ], ids=["horizon-negative", "horizon-0-sampled", "samples-negative", "dt-0", "dt-negative", "eps-0",
-        "tmax-negative", "width-0", "csv-points-0", "finite-segment"])
+        "tmax-negative", "width-0", "csv-points-0", "finite-segment", "y0-nan", "y0-inf", "tmax-inf", "eps-inf",
+        "halo-segment", "galaxy-segment", "delta", "micro-exp", "coeffs"])
 def test_bad_numeric_argument_is_named(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_NUMPY_MEMORY = "Unable to allocate 1.46 TiB for an array with shape (200000001,) and data type float64"
+
+
+@pytest.mark.parametrize("module, name, argv, exc, message", [
+    (apps, "match_simulate", _MATCH, MemoryError(_NUMPY_MEMORY), _NUMPY_MEMORY),
+    (recur, "classify_stability", _RECUR, MemoryError(), "MemoryError"),
+], ids=["match-numpy", "recur-bare"])
+def test_an_allocation_too_large_exits_2(capsys, monkeypatch, module, name, argv, exc, message):
+    # The patched call raises as an allocation too large to make would; nothing is allocated.
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -574,6 +604,17 @@ def test_negative_horizon_refused_by_the_spec():
     ("limit", "(1 + e^2*o)/(1 + e^(1/30) + 1/n)"),
     ("limit", "(3/2*w^3*(-1)^n)/(2 + 1/2*w^3 + 5*w^(3/2) + e^5 + M)"),
     ("limit", "1/(1 + e^(1/30) + 1/n)"),
+    ("limit", "(2^n + n)/(3 + 1/n + (1/2)^n/n^2 + (1/3)^n)"),
+    ("limit", "(w^3 + w*(1/2)^n/n + 2^n)/(6*e^2 + n^-2 + (1/2)^n/n)"),
+    _MATCH[:6] + ("nan",) + _MATCH[7:],
+    _MATCH[:6] + ("inf",) + _MATCH[7:],
+    _MATCH[:8] + ("inf",),
+    _MATCH[:4] + ("inf",) + _MATCH[5:],
+    ("limit", "1/n", "--wrt", "halo:x"),
+    ("limit", "1/n", "--wrt", "galaxy:1/0"),
+    ("--delta", "x") + _MATCH,
+    ("--micro-exp", "1/0") + _MATCH,
+    ("borel-ritt", "--coeffs", "1,x", "--order", "2"),
 ])
 def test_bad_arguments_exit_0_or_2_with_one_error_line(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:

@@ -432,11 +432,13 @@ def ref_nf_div(num, den, cap):
     raise Unnormalizable("series division does not close against the result's noise")
 
 
-def _division(rng):
-    """A quotient of one of three shapes: that of test_no_float_from_strategy_values,
-    two random grammar terms, or a constant over 1 + c*e^step + a noise + c'/n^r
-    with steps down to 1/40, whose expansions close on either side of the cap."""
-    shape = rng.randrange(3)
+def _division(rng, shapes=3):
+    """A quotient of one of the first ``shapes`` of four shapes: that of
+    test_no_float_from_strategy_values; two random grammar terms; a constant
+    over 1 + c*e^step + a noise + c'/n^r with steps down to 1/40, whose
+    expansions close on either side of the cap; or growing points over a
+    denominator whose w has only vanishing monomials."""
+    shape = rng.randrange(shapes)
     if shape == 0:
         k = support.rand_exponent(rng)
         base = Geom(abs(k) + Fraction(1, 2))
@@ -444,6 +446,19 @@ def _division(rng):
                    Add(Const(support.rand_extnum(rng, zeroless=True)), Pow(N, -abs(k) - 1)))
     if shape == 1:
         return Div(support.rand_term(rng), support.rand_term(rng))
+    if shape == 3:
+        num = neutrix_seq(rng.choice([ZERO, MICRO, oslash(rng.randint(-2, 2)), pound(rng.randint(-2, 2))]),
+                          Geom(rng.choice([1, 2])))
+        for _ in range(rng.randint(1, 3)):
+            c = Const(monomial(support.rand_coeff(rng), rng.randint(-2, 2)))
+            point = Mul(c, Mul(Geom(rng.choice([Fraction(3, 2), 2])), Pow(N, rng.randint(0, 2))))
+            num = Add(num, Mul(ALT, point) if rng.randrange(2) else point)
+        den = Const(monomial(support.rand_coeff(rng), rng.randint(-1, 1)))
+        vanishing = [Pow(N, -1), Pow(N, -2), Geom(Fraction(1, 2)), Geom(Fraction(1, 3))]
+        for _ in range(rng.randint(1, 3)):
+            den = Add(den, Mul(Const(monomial(support.rand_coeff(rng), rng.randint(-2, 2))), rng.choice(vanishing)))
+        nx = rng.choice([ZERO, MICRO, oslash(rng.randint(-2, 2)), pound(rng.randint(-2, 2))])
+        return Div(num, Add(den, neutrix_seq(nx, rng.choice(vanishing))))
     step = Fraction(rng.randint(1, 6), rng.randint(1, 40))
     nx = rng.choice([ZERO, MICRO, oslash(rng.randint(1, 4)), pound(rng.randint(1, 4))])
     den = ExternalNumber(FormalSeries.from_terms([(rng.randint(1, 4), 0), (support.rand_coeff(rng), step)]), nx)
@@ -453,33 +468,55 @@ def _division(rng):
 
 
 def _outcome(fn, *args):
+    """fn(*args), or the text of its refusal."""
     try:
         return fn(*args)
-    except Unnormalizable:
-        return Unnormalizable
+    except Unnormalizable as exc:
+        return str(exc)
+
+
+def _check_divisions(seed, shapes, cap):
+    """normalize against ref_nf_div at ``cap`` on 500 quotients of ``_division``:
+    the same forms and refusals, where a division that the trial never closes
+    is refused by the count after round 1, not by expanding to the cap."""
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(500):
+        u = _division(rng, shapes)
+        num, den = _outcome(normalize, u.num), _outcome(normalize, u.den)
+        if isinstance(num, str) or isinstance(den, str):
+            continue
+        got, want = _outcome(normalize, u), _outcome(ref_nf_div, num, den, cap)
+        if want == "series division does not close against the result's noise":
+            want = f"series division does not close within {cap} rounds: "
+            got = got[:len(want)] if isinstance(got, str) else got
+        assert got == want, u
+        seen["refused" if isinstance(got, str) else "form"] += 1
+    return seen
 
 
 def test_division_matches_the_trial_expansion():
     """Counting the rounds up front changes no answer of the expansion run to
     the same cap: the same forms, and a refusal wherever it refuses."""
-    rng = random.Random(1)
-    seen = Counter()
-    for _ in range(500):
-        u = _division(rng)
-        num, den = _outcome(normalize, u.num), _outcome(normalize, u.den)
-        if num is Unnormalizable or den is Unnormalizable:
-            continue
-        got = _outcome(normalize, u)
-        assert got == _outcome(ref_nf_div, num, den, MAX_EXPANSION_ROUNDS), u
-        seen["refused" if got is Unnormalizable else "form"] += 1
+    seen = _check_divisions(1, 3, MAX_EXPANSION_ROUNDS)
     assert seen["form"] > 300 and seen["refused"] > 50, seen
+
+
+def test_division_matches_the_trial_expansion_at_a_low_cap(monkeypatch):
+    """At a cap of 12 rounds a never-closing trial is cheap, so growing points
+    over a w of vanishing monomials run against the reference as well."""
+    monkeypatch.setattr(seq, "MAX_EXPANSION_ROUNDS", 12)
+    seen = _check_divisions(2, 4, 12)
+    assert seen["form"] > 200 and seen["refused"] > 50, seen
 
 
 @pytest.mark.parametrize("text", [
     "1/(1 + e^(1/30) + 1/n)",
     "(3/2*w^3*(-1)^n)/(2 + 1/2*w^3 + 5*w^(3/2) + e^5 + M)",
     "1/(1 + e^(1/30) + e^(13/6)*L + 1/n)",
-], ids=["no-noise", "microhalo", "65-rounds"])
+    "(2^n + n)/(3 + 1/n + (1/2)^n/n^2 + (1/3)^n)",
+    "(w^3 + w*(1/2)^n/n + 2^n)/(6*e^2 + n^-2 + (1/2)^n/n)",
+], ids=["no-noise", "microhalo", "65-rounds", "growing-over-vanishing", "growing-over-vanishing-e"])
 def test_a_division_that_never_closes_is_refused_after_one_round(monkeypatch, text):
     u = dsl.parse_seq(text)
     num, den = normalize(u.num), normalize(u.den)
