@@ -52,6 +52,12 @@ class Concretization:
             raise ValueError("eps0 must lie in (0, 1e-2]")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        # Above 1/2, e*L (radius eps0**(1 - delta)) would be wider than o.
+        if self.delta > Fraction(1, 2):
+            raise ValueError(f"delta must be at most 1/2, got {self.delta}")
+        # At or below delta, M would be no narrower than o (radius eps0**delta).
+        if self.micro_exp <= self.delta:
+            raise ValueError(f"micro_exp must exceed delta ({self.delta}), got {self.micro_exp}")
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         """A generator owned by one test/worker; streams do not collide."""
@@ -66,7 +72,7 @@ class Concretization:
             return 0.0
         if n.is_micro:
             return self.eps0 ** float(self.micro_exp)
-        shift = -self.delta if n.kind is scale.Kind.POUND else self.delta
+        shift = -self.delta if n.kind is scale.POUND.kind else self.delta
         try:
             return self.eps0 ** float(n.q + shift)
         except OverflowError:

@@ -190,7 +190,10 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "/":
                 self.take()
+                tok = self.peek()
                 den = self.integer()
+                if den == 0:
+                    raise ParseError("zero denominator in an exponent", position=tok.pos, source=self.text)
             self.expect_op(")")
             return Fraction(sign * inner_sign * num, den)
         num = self.integer()

@@ -375,7 +375,7 @@ def disjoint(a: ExternalNumber, b: ExternalNumber) -> bool:
 def lt(a: ExternalNumber, b: ExternalNumber) -> bool:
     """Every element of a is below every element of b: b - a is zeroless and positive."""
     lead = _lead_difference(b.rep, a.rep)
-    return lead is not None and lead[0] > 0 and not (a.neutrix + b.neutrix).absorbs(lead[1])
+    return lead is not None and lead[0].numerator > 0 and not (a.neutrix + b.neutrix).absorbs(lead[1])
 
 
 def gt(a: ExternalNumber, b: ExternalNumber) -> bool:

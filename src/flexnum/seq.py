@@ -527,10 +527,12 @@ def _noise_text(nx: Neutrix, r: Rational, b: Rational) -> str:
 
 
 def _growth(r: Rational, b: Rational) -> int:
-    """Eventual behaviour of n^r * b^n: -1 vanishes, 0 stays constant, 1 grows."""
-    if b != 1:
-        return 1 if b > 1 else -1
-    return (r > 0) - (r < 0)
+    """Eventual behaviour of n^r * b^n: -1 vanishes, 0 stays constant, 1 grows.
+
+    Read off the integer parts of b and r (b in lowest terms, denominator > 0)."""
+    if b.numerator != b.denominator:
+        return 1 if b.numerator > b.denominator else -1
+    return (r.numerator > 0) - (r.numerator < 0)
 
 
 def _size(q: Rational, r: Rational, b: Rational) -> Tuple[Rational, Rational, Rational]:
@@ -685,7 +687,7 @@ def _magnitudes(nf: NormalForm) -> Iterable[TKey]:
 def _mono_bound(nx: Neutrix) -> Rational:
     """An exponent p with the monomial neutrix nx below e^p: e^q*o lies
     below e^q, and e^q*L below e^(q-1)."""
-    return nx.q - (1 if nx.kind is scale.Kind.POUND else 0)
+    return nx.q - (1 if nx.kind is scale.POUND.kind else 0)
 
 
 def _dominant_point(nf: NormalForm) -> Optional[Tuple[PKey, Fraction]]:
@@ -705,9 +707,17 @@ def _point_in_noise(q: Rational, r: Rational, b: Rational, noise: Tuple[Tuple[NK
     for (rN, bN), nx in noise:
         if nx.is_full:
             return True
-        if (b, r) < (bN, rN) or ((b, r) == (bN, rN) and nx.absorbs(q)):
+        s = _sign(b, bN) or _sign(r, rN)
+        if s < 0 or (s == 0 and nx.absorbs(q)):
             return True
     return False
+
+
+def _sign(x: Rational, y: Rational) -> int:
+    """The sign of x - y, by one cross-multiplied integer compare (denominators
+    are positive), without ``Fraction`` dispatch."""
+    d = x.numerator * y.denominator - y.numerator * x.denominator
+    return (d > 0) - (d < 0)
 
 
 def _noise_in_noise(key: NKey, n1: Neutrix, noise: Tuple[Tuple[NKey, Neutrix], ...]) -> bool:

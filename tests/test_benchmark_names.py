@@ -7,6 +7,7 @@ fails here, not in a benchmark run.  This module only reads ``perfbench/``.
 """
 
 import importlib
+import itertools
 import os
 import sys
 
@@ -39,3 +40,25 @@ def test_first_query_answers_and_checks(name):
     item = next(workload.items)
     answer = workload.query(item)
     assert workload.check(item, answer) == []
+
+
+_NEUTRIX_TARGETS = [t for t in tracing.TARGETS if t[:3] == ("scale.neutrix_ops", "flexnum.scale", "Neutrix")]
+
+
+@pytest.mark.parametrize("target", _NEUTRIX_TARGETS, ids=lambda t: t[3])
+def test_each_traced_neutrix_method_gets_spans(monkeypatch, target):
+    """The tracer, installed over this one method, sees it called in the first
+    64 seed-1 extnum-pairs queries: no shortcut routes around the
+    ``scale.neutrix_ops`` spans."""
+    assert len(_NEUTRIX_TARGETS) == 4
+    monkeypatch.setattr(tracing, "TARGETS", (target,))
+    workload = workloads.WORKLOADS["extnum-pairs"](1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for item in itertools.islice(workload.items, 64):
+            workload.query(item)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert tracer.self_times()["scale.neutrix_ops"][0] > 0

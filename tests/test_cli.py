@@ -232,6 +232,23 @@ class TestBorelRitt:
         assert code == 0 and "b = 1 + e + 2*e^2 + 6*e^3 + 24*e^4 + M" in out
 
 
+    @pytest.mark.parametrize("options, message", [
+        (("--delta", "1"), "delta must be at most 1/2, got 1"),
+        (("--delta", "51/100"), "delta must be at most 1/2, got 51/100"),
+        (("--micro-exp", "0"), "micro_exp must exceed delta (1/2), got 0"),
+        (("--micro-exp", "1/2"), "micro_exp must exceed delta (1/2), got 1/2"),
+        (("--delta", "1/8", "--micro-exp", "1/8"), "micro_exp must exceed delta (1/8), got 1/8"),
+    ], ids=["delta-1", "delta-above-half", "micro-exp-0", "micro-exp-at-delta", "micro-exp-at-small-delta"])
+    def test_a_model_wider_than_its_chain_is_refused(self, capsys, options, message):
+        code, out, err = run(capsys, "borel-ritt", "--coeffs", "1,1", "--order", "1", *options)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("options", [("--delta", "1/2"), ("--micro-exp", "51/100")], ids=["delta-half", "micro-exp-above"])
+    def test_the_boundaries_stay_legal(self, capsys, options):
+        code, out, _ = run(capsys, "borel-ritt", "--coeffs", "1,1", "--order", "1", *options)
+        assert (code, out) == (0, "b = 1 + e + M\nshadow level 0: ok\n")
+
+
 class TestMatch:
     def test_csv(self, capsys):
         code, out, _ = run(
@@ -414,6 +431,13 @@ class TestFailuresExit2:
     def test_deep_parentheses(self, capsys):
         err = self.assert_error(capsys, "eval", "(" * 1200 + "1" + ")" * 1200)
         assert "nested too deeply at position 100" in err
+
+    @pytest.mark.parametrize("argv", [("eval", "e^(1/0)"), ("eval", "2^(1/0)"), ("limit", "n^(1/0)")],
+                             ids=["eval-e", "eval-rational", "limit-n"])
+    def test_zero_denominator_in_an_exponent(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: zero denominator in an exponent at position 5\n  {argv[1]}\n{' ' * 7}^\n"
 
     def test_deep_sum_evaluation(self, capsys):
         err = self.assert_error(capsys, "eval", "--n", "1", " + ".join(["n"] * 1500))

@@ -37,6 +37,23 @@ class TestRadius:
         with pytest.raises(ValueError):
             Concretization(eps0=-1e-3)
 
+    def test_delta_keeps_e_times_L_inside_o(self):
+        # At delta = 1/2, e*L and o share a radius; above it e*L would be wider.
+        conc = Concretization(delta=Fraction(1, 2))
+        assert conc.radius(pound(1)) == conc.radius(OSLASH)
+        with pytest.raises(ValueError, match=r"^delta must be at most 1/2, got 51/100$"):
+            Concretization(delta=Fraction(51, 100))
+        with pytest.raises(ValueError, match=r"^delta must be at most 1/2, got 1$"):
+            Concretization(delta=Fraction(1))
+
+    def test_micro_exp_keeps_M_inside_o(self):
+        conc = Concretization(micro_exp=Fraction(51, 100))
+        assert conc.radius(MICRO) < conc.radius(OSLASH)
+        with pytest.raises(ValueError, match=r"^micro_exp must exceed delta \(1/2\), got 1/2$"):
+            Concretization(micro_exp=Fraction(1, 2))
+        with pytest.raises(ValueError, match=r"^micro_exp must exceed delta \(1/8\), got 0$"):
+            Concretization(delta=Fraction(1, 8), micro_exp=Fraction(0))
+
 
 class TestSampling:
     def test_contains_examples(self):

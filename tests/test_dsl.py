@@ -89,6 +89,13 @@ class TestParse:
             dsl.parse_extnum("(" * 101 + "1" + ")" * 101)
         assert err.value.position == 100
 
+    @pytest.mark.parametrize("parse, text", [(dsl.parse_extnum, "e^(1/0)"), (dsl.parse_extnum, "2^(-3/0)"),
+                                             (dsl.parse_seq, "n^(0/0)")], ids=["e", "rational", "n"])
+    def test_zero_denominator_in_an_exponent_is_positioned(self, parse, text):
+        with pytest.raises(ParseError, match="^zero denominator in an exponent") as err:
+            parse(text)
+        assert err.value.position == text.index("/") + 1
+
     def test_errors_carry_positions(self):
         # The second + reads as a unary sign, so the * is the offender.
         with pytest.raises(ParseError) as err:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given
 
 import strategies as strat
-from flexnum import scale
+from flexnum import extnum, scale
 from flexnum.scale import FULL, MICRO, OSLASH, POUND, ZERO, oslash, pound
 
 
@@ -160,3 +162,84 @@ def test_rounds_is_the_first_absorbed_round():
         seen.add((str(nx)[-1], want is None, want == 0, nx.is_mono and (nx.q - q) % step == 0))
     assert {("L", False, False, True), ("o", False, False, True), ("0", True, False, False),
             ("M", True, False, False), ("R", False, True, False)} <= seen
+
+
+def _absorbs_by_branches(nx, q):
+    """``Neutrix.absorbs`` as three branches on the variant and kind: the
+    reference for the one integer compare."""
+    if nx.variant is scale._Variant.FULL:
+        return True
+    if nx.variant is scale._Variant.MONO:
+        if nx.kind is scale.Kind.POUND:
+            return q >= nx.q
+        return q > nx.q
+    return False
+
+
+def test_absorbs_matches_the_branch_reference():
+    """Every (variant, kind) against 2 000 int and Fraction exponents: half
+    equal to the neutrix's own exponent, zero and both signs among them."""
+    rng = random.Random(3401)
+    seen = set()
+    for _ in range(2000):
+        p = _rational(rng, -5, 5)
+        nx = rng.choice([ZERO, MICRO, FULL, oslash(p), pound(p)])
+        q = rng.choice([p, Fraction(p), _rational(rng, -5, 5)])
+        assert nx.absorbs(q) == _absorbs_by_branches(nx, q), (nx, q)
+        seen.add((str(nx)[-1], q == nx.q and nx.is_mono, (q > 0) - (q < 0), type(q)))
+    for letter in "oL":
+        assert {(letter, True, sign, kind) for sign in (-1, 0, 1) for kind in (int, Fraction)} <= seen
+    assert {("0", False, 0, int), ("M", False, 1, Fraction), ("R", False, -1, int)} <= seen
+
+
+_EXPONENTS = (0, 1, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(6, 3))
+
+
+@pytest.mark.parametrize("make, kind", [(oslash, scale.Kind.OSLASH), (pound, scale.Kind.POUND)])
+def test_one_instance_per_point_of_the_chain(make, kind):
+    other = pound if make is oslash else oslash
+    for q in _EXPONENTS:
+        nx = make(q)
+        assert make(scale.exact(q)) is nx and make(Fraction(q)) is nx
+        assert nx.kind is kind and nx.q == q and type(nx.q) is type(scale.exact(q))
+        assert other(q) is not nx and other(q) != nx
+        assert nx.scaled(5, 0) is nx and nx.scaled(-1, 1) is make(q + 1)
+        assert make(1).scaled(2, q - 1) is nx
+    assert make(3) * POUND is make(3) and POUND * make(Fraction(5, 2)) is make(Fraction(5, 2))
+
+
+def test_copies_and_raw_values_behave_like_the_shared_one():
+    """A pickled copy, a deep copy and a raw-constructor value of each
+    requested point equal the shared value, hash like it and order like it."""
+    pool = [ZERO, MICRO, FULL] + [make(q) for q in _EXPONENTS for make in (oslash, pound)]
+    requested = [(ZERO, scale._Variant.ZERO, None, 0), (MICRO, scale._Variant.MICRO, None, 0),
+                 (FULL, scale._Variant.FULL, None, 0)]
+    requested += [(make(q), scale._Variant.MONO, kind, q)
+                  for q in _EXPONENTS for make, kind in ((oslash, scale.Kind.OSLASH), (pound, scale.Kind.POUND))]
+    for nx, variant, kind, q in requested:
+        raw = scale.Neutrix(variant, kind, Fraction(q) if kind is not None else q)
+        for twin in (pickle.loads(pickle.dumps(nx)), copy.deepcopy(nx), raw):
+            assert twin == nx and hash(twin) == hash(nx) and str(twin) == str(nx)
+            for other in pool:
+                assert (twin < other, twin <= other, other < twin, other <= twin) == (
+                    nx < other, nx <= other, other < nx, other <= nx)
+                assert twin + other == nx + other and twin * other == nx * other
+            for p in (q - 1, q, q + 1):
+                assert twin.absorbs(p) == nx.absorbs(p)
+
+
+def test_lt_reads_the_sign_of_the_leading_difference():
+    """``extnum.lt`` against the sign test ``lead[0] > 0`` on the leading
+    term of b - a, with the branch reference of ``absorbs``."""
+    rng = random.Random(3402)
+    nxs = [ZERO, MICRO] + [make(q) for q in (-1, 0, Fraction(1, 2), 1) for make in (oslash, pound)]
+    seen = set()
+    for _ in range(1500):
+        a, b = (extnum.ExternalNumber(extnum.FormalSeries.from_terms(
+            [(rng.choice((-3, -1, Fraction(1, 2), 2)), rng.choice((-1, 0, Fraction(1, 2), 1)))
+             for _ in range(rng.randint(0, 2))]), rng.choice(nxs)) for _ in range(2))
+        lead = extnum._lead_difference(b.rep, a.rep)
+        want = lead is not None and lead[0] > 0 and not _absorbs_by_branches(a.neutrix + b.neutrix, lead[1])
+        assert extnum.lt(a, b) == want, (a, b)
+        seen.add((want, lead is not None and lead[0] > 0))
+    assert seen == {(True, True), (False, True), (False, False)}
