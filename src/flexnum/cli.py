@@ -102,10 +102,7 @@ def _cmd_limit(args) -> int:
     ok = report.converges
     if ok and args.to is not None:
         target = dsl.parse_extnum(args.to)
-        nx = dsl.parse_neutrix(args.neutrix) if args.neutrix else report.minimal_neutrix
-        ok = seq.n_converges(term, target, nx) if args.wrt is None else (
-            report.converges and target == report.limit
-        )
+        ok = report.converges_to(target, dsl.parse_neutrix(args.neutrix) if args.neutrix else report.minimal_neutrix)
     payload = report.to_dict()
     payload["claim_holds"] = ok
     lines = [
@@ -207,6 +204,16 @@ def _cmd_match(args) -> int:
     return 0 if result.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every option but -h is a --long option, so any other token that starts
+    with one dash is a value: ``--f -y``, ``eval -1/n``, ``--delta -1/2``."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _common_options(suppress: bool) -> argparse.ArgumentParser:
     """The options every command accepts, before or after the subcommand.
 
@@ -227,7 +234,7 @@ def _common_options(suppress: bool) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flexnum",
         description="external-number arithmetic, flexible-sequence limits and their numeric oracle",
         parents=[_common_options(suppress=False)],
@@ -285,31 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_OPTIONS = {
-    "--f", "--u0", "--neutrix", "--to", "--reference", "--coeffs", "--wrt", "--dt",
-}
-
-
-def _join_dash_values(argv: list) -> list:
-    """Turn ['--f', '-y'] into ['--f=-y'] so argparse accepts dash-leading values."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_OPTIONS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_dash_values(list(argv)))
+    args = parser.parse_args(argv)
     try:
         code = args.func(args)
         # Flushed here, so that a closed stdout is met inside this try.

@@ -40,7 +40,7 @@ class NumericOverflow(FlexError):
 
 
 class ContractionRequired(FlexError):
-    """The affine coefficient is not appreciably below 1 in absolute value."""
+    """The affine coefficient is not below 1 in absolute value, or its numeric model is not."""
 
 
 class FullNotConcretizable(FlexError):

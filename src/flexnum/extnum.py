@@ -238,10 +238,6 @@ class ExternalNumber:
         """True when 0 is not an element, i.e. the canonical rep is nonempty."""
         return not self.rep.is_zero
 
-    @property
-    def is_neutrix(self) -> bool:
-        return self.rep.is_zero
-
     def __str__(self) -> str:
         if self.rep.is_zero:
             return str(self.neutrix)

@@ -62,6 +62,8 @@ class RecurrenceSpec:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError(f"horizon must be at least 0, got {self.horizon}")
+        if self.n0 < 0:
+            raise ValueError(f"n0 must be at least 0, got {self.n0}")
 
 
 @dataclass(frozen=True)
@@ -267,8 +269,8 @@ class AffineCertificate:
 
     Per-path witnesses q in |alpha| and c in N give the stepwise bound
     |t_n| <= (|t_0| + c/(1-q)) q^n + c/(1-q); the limit neutrix of the
-    differences is N/(1-|alpha|), which equals N because 1-|alpha| is
-    appreciable.
+    differences is N/(1-|alpha|): N when the gap 1-|alpha| is appreciable,
+    larger when it is infinitesimal.
     """
 
     alpha: ExternalNumber
@@ -283,20 +285,18 @@ class AffineCertificate:
 
 
 def affine_closed_form(alpha: ExternalNumber, noise: Neutrix, conc: Concretization) -> AffineCertificate:
-    """Certificate for the contraction case; ContractionRequired otherwise."""
-    if noise.is_full:
-        raise FullNotConcretizable("full-line noise is out of scope")
+    """Certificate for the contraction case |alpha| < 1; ContractionRequired
+    when that fails, or when the model's contraction factor is not below 1."""
     one = monomial(1)
     if not ext_lt(abs(alpha), one):
         raise ContractionRequired(f"|{alpha}| < 1 fails")
+    if noise.is_full:
+        raise FullNotConcretizable("full-line noise is out of scope")
     # |alpha| < 1 makes 1 - |alpha| zeroless.
-    gap = sub(one, abs(alpha))
-    limit_neutrix = ext_div(from_neutrix(noise), gap).neutrix
-    if limit_neutrix != noise:
-        raise AssertionError("appreciable contraction must preserve the noise level")
+    limit_neutrix = ext_div(from_neutrix(noise), sub(one, abs(alpha))).neutrix
     q = conc.center(abs(alpha)) + conc.radius(alpha.neutrix)
     if not (0.0 <= q < 1.0):
-        raise ContractionRequired(f"concretized contraction factor {q} is not below 1")
+        raise ContractionRequired(f"the model's contraction factor rounds to {q}")
     c = conc.radius(noise)
     return AffineCertificate(alpha, noise, q, c, limit_neutrix)
 
@@ -417,56 +417,52 @@ def classify_stability(
     match = _match_affine(spec.f)
     if match is not None and reference.rep.is_zero and reference.neutrix.is_zero:
         alpha, fnoise = match
-        return _classify_affine(alpha, fnoise, noise, spec, conc)
+        return _classify_affine(alpha, fnoise, noise, conc)
     return _classify_sampled(spec, reference, noise, conc, samples, seed)
 
 
-def _classify_affine(
-    alpha: ExternalNumber,
-    fnoise: Neutrix,
-    noise: Neutrix,
-    spec: RecurrenceSpec,
-    conc: Concretization,
-) -> StabilityVerdict:
-    one = monomial(1)
+def _classify_affine(alpha: ExternalNumber, fnoise: Neutrix, noise: Neutrix, conc: Concretization) -> StabilityVerdict:
     evidence: Dict[str, object] = {"route": "affine analysis", "alpha": alpha, "f_noise": fnoise}
-    if ext_lt(abs(alpha), one):
+    try:
         cert = affine_closed_form(alpha, fnoise, conc)
-        evidence.update(q=cert.q, c=cert.c, limit_neutrix=cert.limit_neutrix)
-        # Differences obey d_{n+1} = a_n d_n + (b_n - b'_n) with b - b' in the
-        # f-noise; the decay bound keeps them inside a limited multiple of
-        # max(d_0-scale, f-noise), a group absorbs limited factors, and their
-        # limit neutrix is fnoise/(1-|alpha|) = fnoise.
-        if fnoise <= noise:
-            st = asym = Flag.PROVEN
-        else:
-            st = asym = Flag.FALSIFIED
-            evidence["escape"] = f"step noise {fnoise} already exceeds {noise}"
-        if noise.is_zero:
-            # Strong convergence to {0} means the difference is eventually
-            # exactly zero, which only the zero map achieves.
-            zero_map = not alpha.is_zeroless and alpha.neutrix.is_zero and fnoise.is_zero
-            strong = Flag.PROVEN if zero_map else Flag.FALSIFIED
-            if strong is Flag.FALSIFIED:
-                evidence["strong"] = "a nonzero difference never reaches exactly 0"
-        else:
-            strong = asym
-        return StabilityVerdict(st, asym, strong, evidence)
-    if alpha.is_zeroless and ext_lt(one, abs(alpha)):
-        # Expansion: construct the escaping difference explicitly.
-        q = conc.center(abs(alpha)) - conc.radius(alpha.neutrix)
-        r = conc.radius(noise) if not noise.is_zero else conc.eps0
-        path = [r]
-        while abs(path[-1]) <= 10.0 * r + 1.0 and len(path) < 10_000:
-            path.append(path[-1] * q)
-        evidence.update(
-            route="affine analysis (expansion)",
-            q=q,
-            escaping_path=np.asarray(path),
-        )
-        return StabilityVerdict(Flag.FALSIFIED, Flag.FALSIFIED, Flag.FALSIFIED, evidence)
-    evidence["route"] = "affine analysis inconclusive (|alpha| touches 1)"
-    return StabilityVerdict(Flag.UNKNOWN, Flag.UNKNOWN, Flag.UNKNOWN, evidence)
+    except ContractionRequired as exc:
+        one = monomial(1)
+        if alpha.is_zeroless and ext_lt(one, abs(alpha)):
+            # Expansion: construct the escaping difference explicitly.
+            q = conc.center(abs(alpha)) - conc.radius(alpha.neutrix)
+            r = conc.radius(noise) if not noise.is_zero else conc.eps0
+            path = [r]
+            while abs(path[-1]) <= 10.0 * r + 1.0 and len(path) < 10_000:
+                path.append(path[-1] * q)
+            evidence.update(
+                route="affine analysis (expansion)",
+                q=q,
+                escaping_path=np.asarray(path),
+            )
+            return StabilityVerdict(Flag.FALSIFIED, Flag.FALSIFIED, Flag.FALSIFIED, evidence)
+        evidence["route"] = f"affine analysis inconclusive ({exc})"
+        return StabilityVerdict(Flag.UNKNOWN, Flag.UNKNOWN, Flag.UNKNOWN, evidence)
+    evidence.update(q=cert.q, c=cert.c, limit_neutrix=cert.limit_neutrix)
+    # Differences obey d_{n+1} = a_n d_n + (b_n - b'_n) with b - b' in the
+    # f-noise; the decay bound keeps them inside a limited multiple of
+    # max(d_0-scale, f-noise), a group absorbs limited factors, and they
+    # settle in fnoise/(1-|alpha|), the certificate's limit neutrix.
+    if cert.limit_neutrix <= noise:
+        st = asym = Flag.PROVEN
+    else:
+        st = asym = Flag.FALSIFIED
+        evidence["escape"] = (f"step noise {fnoise} already exceeds {noise}" if not fnoise <= noise
+                              else f"differences settle in {cert.limit_neutrix}, which exceeds {noise}")
+    if noise.is_zero:
+        # Strong convergence to {0} means the difference is eventually
+        # exactly zero, which only the zero map achieves.
+        zero_map = not alpha.is_zeroless and alpha.neutrix.is_zero and fnoise.is_zero
+        strong = Flag.PROVEN if zero_map else Flag.FALSIFIED
+        if strong is Flag.FALSIFIED:
+            evidence["strong"] = "a nonzero difference never reaches exactly 0"
+    else:
+        strong = asym
+    return StabilityVerdict(st, asym, strong, evidence)
 
 
 def _classify_sampled(

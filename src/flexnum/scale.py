@@ -149,18 +149,13 @@ class Neutrix:
         return max(0, math.ceil(bound) if self.kind is _POUND_K else math.floor(bound) + 1)
 
     # -- inclusion order ----------------------------------------------------
+    # a > b and a >= b are Python's reflected b < a and b <= a.
 
     def __lt__(self, other: "Neutrix") -> bool:
         return self._key < other._key
 
     def __le__(self, other: "Neutrix") -> bool:
         return self._key <= other._key
-
-    def __gt__(self, other: "Neutrix") -> bool:
-        return self._key > other._key
-
-    def __ge__(self, other: "Neutrix") -> bool:
-        return self._key >= other._key
 
     # -- algebra ------------------------------------------------------------
 

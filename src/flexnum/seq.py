@@ -693,8 +693,8 @@ def _mono_bound(nx: Neutrix) -> Rational:
 def _dominant_point(nf: NormalForm) -> Optional[Tuple[PKey, Fraction]]:
     """The largest point monomial under :func:`_size`.
 
-    Callers still have to confirm that it strictly dominates the remaining
-    monomials.
+    It strictly dominates the others when no key alternates: keys are unique
+    and ``_size`` is one-to-one on (q, r, b).
     """
     if not nf.point:
         return None
@@ -730,7 +730,8 @@ def _noise_in_noise(key: NKey, n1: Neutrix, noise: Tuple[Tuple[NKey, Neutrix], .
         if n1.is_full:
             # The full line stays the full line under every scalar factor.
             continue
-        if (b1, r1) < (b2, r2) or ((b1, r1) == (b2, r2) and n1 <= n2):
+        s = _sign(b1, b2) or _sign(r1, r2)
+        if s < 0 or (s == 0 and n1 <= n2):
             return True
     return False
 
@@ -757,10 +758,6 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
         raise Unnormalizable("denominator has no dominant precise monomial")
     key0, c0 = dom
     q0, r0, b0, s0 = key0
-    size0 = _size(q0, r0, b0)
-    for key, c in den.point:
-        if key != key0 and not size0 > _size(*key[:3]):
-            raise Unnormalizable("denominator is not eventually zeroless")
     if _point_in_noise(q0, r0, b0, den.noise):
         raise Unnormalizable("denominator noise is not dominated: not eventually zeroless")
 
@@ -800,7 +797,8 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
         if not (point or noise or tails):
             # A term dropped as only eventually inside the noise leaves a form for large n.
             return NormalForm(result.point, result.noise, result.tails, result.trimmed or dropped)
-        power = _form(point, noise, tails)
+        # A filtered canonical form is canonical.
+        power = NormalForm(tuple(point), tuple(noise), tuple(tails))
         result = _nf_add(result, power)
         if rnd == 1 and power.point:
             (mq, mr, mb, _s), mc = _dominant_point(wf)
@@ -929,6 +927,13 @@ class LimitReport:
     def converges(self) -> bool:
         return self.status is Status.CONVERGES
 
+    def converges_to(self, alpha: ExternalNumber, nx: Neutrix) -> bool:
+        """Whether the sequence N-converges to alpha: it converges, its minimal
+        neutrix fits inside N, and alpha lies within the limit enlarged by N."""
+        if nx.is_full:
+            raise ValueError("N-convergence is only considered for N != R")
+        return self.converges and self.minimal_neutrix <= nx and subset(alpha, self.limit + from_neutrix(nx))
+
     @property
     def witness(self) -> str:
         if type(self.steps) is str:
@@ -1016,21 +1021,8 @@ def _limit(nf: NormalForm) -> LimitReport:
 
 
 def n_converges(u: Term, alpha: ExternalNumber, nx: Neutrix) -> bool:
-    """Whether u N-converges to alpha: the minimal neutrix fits inside N and
-    alpha lies within the canonical limit enlarged by N."""
-    if nx.is_full:
-        raise ValueError("N-convergence is only considered for N != R")
-    report = n_limit(u)
-    if not report.converges:
-        return False
-    if not report.minimal_neutrix <= nx:
-        return False
-    return subset(alpha, report.limit + from_neutrix(nx))
-
-
-def minimal_convergence_neutrix(u: Term) -> Optional[Neutrix]:
-    report = n_limit(u)
-    return report.minimal_neutrix if report.converges else None
+    """Whether u N-converges to alpha (:meth:`LimitReport.converges_to`)."""
+    return n_limit(u).converges_to(alpha, nx)
 
 
 # ---------------------------------------------------------------------------
@@ -1214,10 +1206,15 @@ def squeeze(
 
 
 def eventually_bounded(u: Term) -> Optional[ExternalNumber]:
-    """A precise eventual bound on |u_n|, or None when there is none != R."""
+    """A precise eventual bound on |u_n|, or None when there is none != R.
+
+    On this fragment a form is eventually bounded exactly when it converges,
+    so its limit report decides."""
     try:
         nf = normalize(u)
     except Unnormalizable:
+        return None
+    if not _report(nf).converges:
         return None
     q_bound = None
     coeff = Fraction(1)
@@ -1227,13 +1224,9 @@ def eventually_bounded(u: Term) -> Optional[ExternalNumber]:
         q_bound = q if q_bound is None else min(q_bound, q)
 
     for (q, r, b, alt), c in nf.point:
-        if _growth(r, b) > 0:
-            return None
         coeff += abs(c)
         lower_to(q)
     for (r, b), nx in nf.noise:
-        if nx.is_full or _growth(r, b) > 0:
-            return None
         if nx.is_mono:
             lower_to(_mono_bound(nx))
         # Micro sits below any monomial bound.

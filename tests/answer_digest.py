@@ -1,0 +1,132 @@
+"""SHA-256 digests of flexnum's answers, one line per slice.
+
+A change that must not move answers is shown to keep them by running this
+script on both sides and comparing the lines:
+
+    PYTHONPATH=src python tests/answer_digest.py [--items N] [slice ...]
+
+Put the ``src`` of the tree under test on ``PYTHONPATH``; the inputs come
+from this repository's ``perfbench/``.  Slices:
+
+- ``seq-questions`` and ``extnum-pairs``, one line per seed (3, 7, 11), over
+  the first N inputs of that benchmark stream.  Every answer is digested by
+  value: a limit report as its status, limit, minimal neutrix, strong flag
+  and witness text (its steps hold function objects, so not its ``repr``);
+  an exception as its type and text.  The ``seq-questions`` line also holds
+  ``eventually_bounded`` of both terms; the ``extnum-pairs`` line every op of
+  ``workloads.PAIR_OPS`` and ``disjoint``.
+- ``cli``: the exit code and stdout of every ``perfbench/cli_cases.py``
+  command, run through ``cli.main``.
+- ``demos``: the stdout of every script in ``demos/``, each in a fresh
+  interpreter.
+
+The module name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import cli_cases  # noqa: E402
+import workloads  # noqa: E402
+import flexnum  # noqa: E402
+from flexnum import cli, extnum, seq  # noqa: E402
+
+SEEDS = (3, 7, 11)
+SLICES = ("seq-questions", "extnum-pairs", "cli", "demos")
+
+
+def _text(value) -> str:
+    """One answer as text: a limit report by its fields, an exception by type and message."""
+    if isinstance(value, seq.LimitReport):
+        return repr((value.status.value, str(value.limit), str(value.minimal_neutrix), value.strong, value.witness))
+    if isinstance(value, BaseException):
+        return f"{type(value).__name__}: {value}"
+    return str(value)
+
+
+def _answer(fn, *args) -> str:
+    try:
+        return _text(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - a refusal is an answer too
+        return _text(exc)
+
+
+def _seq_answers(seed: int, items: int):
+    work = workloads.SeqQuestions(seed)
+    for cu, cv in itertools.islice(work.items, items):
+        answers = work.query((cu, cv))
+        yield sorted((key, _text(value)) for key, value in answers.items())
+        yield [_answer(seq.eventually_bounded, cu.term), _answer(seq.eventually_bounded, cv.term)]
+
+
+def _pair_answers(seed: int, items: int):
+    for a, b in itertools.islice(workloads.ExtnumPairs(seed).items, items):
+        yield [_answer(getattr(extnum, name), a, b) for name in workloads.PAIR_OPS + ("disjoint",)]
+
+
+def _cli_answers():
+    for command in cli_cases.COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(command.argv))
+        yield [command.name, code, out.getvalue()]
+
+
+def _demo_answers():
+    demos = os.path.join(ROOT, "demos")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(flexnum.__file__)))
+    for name in sorted(n for n in os.listdir(demos) if n.endswith(".py")):
+        proc = subprocess.run([sys.executable, os.path.join(demos, name)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        yield [name, proc.returncode, proc.stdout]
+
+
+def _sha(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def digest_lines(slices=SLICES, items: int = 800):
+    """The digest lines of ``slices``, in the order of ``SLICES``."""
+    if "seq-questions" in slices:
+        for seed in SEEDS:
+            yield f"seq-questions seed={seed} items={items} {_sha(_seq_answers(seed, items))}"
+    if "extnum-pairs" in slices:
+        for seed in SEEDS:
+            yield f"extnum-pairs seed={seed} items={10 * items} {_sha(_pair_answers(seed, 10 * items))}"
+    if "cli" in slices:
+        yield f"cli commands={len(cli_cases.COMMANDS)} {_sha(_cli_answers())}"
+    if "demos" in slices:
+        yield f"demos {_sha(_demo_answers())}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    parser.add_argument("slices", nargs="*", help=f"slices to digest, of {', '.join(SLICES)} (default: all)")
+    parser.add_argument("--items", type=int, default=800,
+                        help="seq-questions inputs per seed; extnum-pairs takes ten times as many")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.slices) - set(SLICES))
+    if unknown:
+        parser.error(f"unknown slices {unknown}; choose from {', '.join(SLICES)}")
+    for line in digest_lines(args.slices or SLICES, args.items):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

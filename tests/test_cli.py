@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -76,6 +77,24 @@ class TestLimit:
         assert code == 0 and "limit: o" in out
         code, out, _ = run(capsys, "limit", "--wrt", "halo:1", "1/n")
         assert code == 0 and "e*L" in out
+
+    @pytest.mark.parametrize("segment, limit", [("finite:3", "1/3 + o"), ("all", "o")])
+    def test_wrt_finite_and_all(self, capsys, segment, limit):
+        code, out, _ = run(capsys, "limit", "--wrt", segment, "1/n + o")
+        assert (code, out) == (0, f"status: converges\nlimit: {limit}\nminimal neutrix: o\nstrong: True\n")
+
+    @pytest.mark.parametrize("claim", [("--to", "0", "--neutrix", "L"), ("--to", "0"), ("--to", "1", "--neutrix", "L")],
+                             ids=["0-in-L", "0-in-o", "1-in-L"])
+    def test_wrt_claim_is_n_convergence(self, capsys, claim):
+        code, out, _ = run(capsys, "limit", "--wrt", "limited", "1/n", *claim)
+        assert (code, out) == (0, "status: converges\nlimit: o\nminimal neutrix: o\nstrong: True\n")
+        code, _, _ = run(capsys, "limit", "--wrt", "limited", "1/n", "--to", "1")
+        assert code == 1
+
+    @pytest.mark.parametrize("wrt", [(), ("--wrt", "limited")], ids=["global", "segment"])
+    def test_full_line_claim_refused(self, capsys, wrt):
+        code, out, err = run(capsys, "limit", *wrt, "1/n", "--to", "1", "--neutrix", "R")
+        assert (code, out, err) == (2, "", "error: N-convergence is only considered for N != R\n")
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "limit", "1/n + o")
@@ -181,7 +200,7 @@ class TestRecur:
         ("u*(1/2)", "1", "0", ["proven", "proven", "falsified"],
          {"route": "affine analysis", "strong": "a nonzero difference never reaches exactly 0"}),
         ("(1 + o)*u", "1", "o", ["unknown"] * 3,
-         {"route": "affine analysis inconclusive (|alpha| touches 1)"}),
+         {"route": "affine analysis inconclusive (|1 + o| < 1 fails)"}),
         ("u/4 + u/4", "1", "0", ["proven", "proven", "falsified"],
          {"route": "affine analysis", "alpha": "1/2", "strong": "a nonzero difference never reaches exactly 0"}),
     ], ids=["noise-escapes", "zero-noise", "touches-1", "respelled"])
@@ -192,6 +211,33 @@ class TestRecur:
         assert code == (1 if "falsified" in flags else 0)
         assert got == flags
         assert {k: payload["evidence"].get(k) for k in evidence} == evidence
+
+    # A gap 1 - |alpha| that is infinitesimal: the differences settle in
+    # N_f/(1 - |alpha|), larger than the step noise N_f.
+    @pytest.mark.parametrize("f, neutrix, flag, limit_neutrix", [
+        ("(1 - e)*u + e*L", "e*L", "falsified", "L"),
+        ("(1 - e^2)*u + e*L", "e*L", "falsified", "w*L"),
+        ("(1 - e)*u + e^3*L", "e*L", "proven", "e^2*L"),
+        ("(1 - e)*u + e^3*L", "e^3*L", "falsified", "e^2*L"),
+    ], ids=["gap-e", "gap-e^2", "gap-e-proven", "gap-e-falsified"])
+    def test_infinitesimal_gap(self, capsys, f, neutrix, flag, limit_neutrix):
+        code, out, _ = run(capsys, "--format", "json", "recur", "--f", f, "--u0", "0", "--neutrix", neutrix)
+        payload = json.loads(out)
+        assert code == (1 if flag == "falsified" else 0)
+        assert [payload[k] for k in ("stable", "asymptotically_stable", "strongly_asymptotically_stable")] == [flag] * 3
+        evidence = payload["evidence"]
+        assert (evidence["route"], evidence["limit_neutrix"]) == ("affine analysis", limit_neutrix)
+        if flag == "falsified":
+            assert evidence["escape"] == f"differences settle in {limit_neutrix}, which exceeds {neutrix}"
+
+    def test_model_factor_rounding_to_1_is_inconclusive(self, capsys):
+        code, out, _ = run(capsys, "recur", "--f", "(1 - e^10)*u", "--u0", "0", "--neutrix", "0")
+        assert code == 0
+        assert out == (
+            "stable: unknown\nasymptotically stable: unknown\nstrongly asymptotically stable: unknown\n"
+            "  route: affine analysis inconclusive (the model's contraction factor rounds to 1.0)\n"
+            "  alpha: 1 - e^10\n  f_noise: 0\n"
+        )
 
     def test_contraction_proven_however_spelled(self, capsys):
         code, out, _ = run(
@@ -272,6 +318,19 @@ class TestMatch:
         assert lines[0] == "t,y,region"
         assert lines[1].endswith("fast")
         assert lines[-1].endswith("eps_tube")
+
+    _ARGS = ("match", "--f", "-y", "--eps", "1e-4", "--y0", "1", "--tmax", "4e-3")
+
+    def test_text(self, capsys):
+        code, out, _ = run(capsys, *self._ARGS)
+        assert (code, out) == (0, "halo entry: 0.000465 (radius 0.01)\neps-tube entry: 0.000465 (radius 0.01)\n"
+                                  "violations: none\n")
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", *self._ARGS)
+        assert code == 0
+        assert json.loads(out) == {"t_enter_halo": 0.000465, "t_enter_eps_tube": 0.000465, "halo_radius": 0.01,
+                                   "tube_radius": 0.01, "violations": [], "claim_holds": True}
 
     def test_not_attractive_is_error(self, capsys):
         code, _, err = run(
@@ -420,6 +479,50 @@ class TestCommonOptions:
         with pytest.raises(SystemExit) as exc:
             run(capsys, *args, "--claim", "bogus")
         assert exc.value.code == 2
+
+
+class TestDashLeadingValues:
+    """Every option but -h is a --long option, so a token with one leading
+    dash is a value, wherever it stands."""
+
+    @pytest.mark.parametrize("argv, out", [
+        (("limit", "-1/n"), "status: converges\nlimit: 0\nminimal neutrix: 0\nstrong: False\n"),
+        (("eval", "-w"), "-w\n"),
+        (("eval", "--n", "2", "-1/n"), "-1/2\n"),
+        (("cauchy", "--neutrix", "o", "-1/n"), "o-Cauchy: True\n"),
+    ], ids=["limit", "eval", "eval-n", "cauchy"])
+    def test_expression(self, capsys, argv, out):
+        assert run(capsys, *argv) == (0, out, "")
+
+    def test_option_value(self, capsys):
+        code, out, err = run(capsys, "borel-ritt", "--coeffs", "1,1", "--order", "1", "--delta", "-1/2")
+        assert (code, out, err) == (2, "", "error: delta must be positive\n")
+
+    def test_help_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: flexnum")
+
+    def test_every_value_option_takes_a_dash_leading_value(self):
+        # The parser reads a one-dash token as a value through an argparse
+        # internal; this fails if a Python release changes that hook.
+        parser = cli.build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+        def values(p):
+            for action in p._actions:
+                if type(action) is argparse._StoreAction and action.choices is None:
+                    # A float in exponent form and a word do not look like negative numbers to argparse.
+                    text = {int: "-1", float: "-1e-3"}.get(action.type, "-x")
+                    yield action, list(action.option_strings[:1]) + [text], (action.type or str)(text)
+
+        top = list(values(parser))
+        assert len(top) == 4
+        for name, sub in commands.choices.items():
+            given = top + list(values(sub))
+            args = parser.parse_args([t for _, argv, _ in top for t in argv] + [name]
+                                     + [t for _, argv, _ in given[len(top):] for t in argv])
+            assert {a.dest: getattr(args, a.dest) for a, _, _ in given} == {a.dest: v for a, _, v in given}, name
 
 
 class TestFailuresExit2:
@@ -578,9 +681,10 @@ _MATCH = ("match", "--f", "-y", "--eps", "1e-2", "--y0", "1", "--tmax", "1")
     (("--delta", "x") + _MATCH, "--delta needs a rational, got 'x'"),
     (("--micro-exp", "1/0") + _MATCH, "--micro-exp needs a rational, got '1/0'"),
     (("borel-ritt", "--coeffs", "1,x", "--order", "2"), "--coeffs needs comma-separated rationals, got 'x'"),
+    (("recur", "--f", "u/2 + n*o", "--u0", "0", "--neutrix", "e*L", "--n0", "-5"), "n0 must be at least 0, got -5"),
 ], ids=["horizon-negative", "horizon-0-sampled", "samples-negative", "dt-0", "dt-negative", "eps-0",
         "tmax-negative", "width-0", "csv-points-0", "finite-segment", "y0-nan", "y0-inf", "tmax-inf", "eps-inf",
-        "halo-segment", "galaxy-segment", "delta", "micro-exp", "coeffs"])
+        "halo-segment", "galaxy-segment", "delta", "micro-exp", "coeffs", "n0-negative"])
 def test_bad_numeric_argument_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -639,6 +743,7 @@ def test_negative_horizon_refused_by_the_spec():
     ("--delta", "x") + _MATCH,
     ("--micro-exp", "1/0") + _MATCH,
     ("borel-ritt", "--coeffs", "1,x", "--order", "2"),
+    ("recur", "--f", "u/2 + n*o", "--u0", "0", "--neutrix", "e*L", "--n0", "-5"),
 ])
 def test_bad_arguments_exit_0_or_2_with_one_error_line(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:

@@ -35,7 +35,7 @@ class TestCanonical:
 
     def test_collapse_to_neutrix(self):
         x = ExternalNumber(FormalSeries.monomial(1, 1), pound(1))
-        assert x.is_neutrix and x.neutrix == pound(1)
+        assert not x.is_zeroless and x.neutrix == pound(1)
 
     def test_kept_when_outside(self):
         x = ExternalNumber(FormalSeries.from_terms([(1, 0), (1, 1)]), oslash(1))
@@ -47,10 +47,10 @@ class TestCanonical:
 
     def test_absorption_boundaries(self):
         # L absorbs its own scale, o only strictly smaller ones.
-        assert ExternalNumber(FormalSeries.monomial(1, 1), pound(1)).is_neutrix
-        assert not ExternalNumber(FormalSeries.monomial(1, 1), oslash(1)).is_neutrix
-        assert not ExternalNumber(FormalSeries.monomial(1, 1), MICRO).is_neutrix
-        assert ExternalNumber(FormalSeries.monomial(1, 1), FULL).is_neutrix
+        assert not ExternalNumber(FormalSeries.monomial(1, 1), pound(1)).is_zeroless
+        assert ExternalNumber(FormalSeries.monomial(1, 1), oslash(1)).is_zeroless
+        assert ExternalNumber(FormalSeries.monomial(1, 1), MICRO).is_zeroless
+        assert not ExternalNumber(FormalSeries.monomial(1, 1), FULL).is_zeroless
 
 
 class TestArithmetic:

@@ -10,7 +10,7 @@ import support
 from flexnum import dsl, seq
 from flexnum.errors import HypothesisUnverified, Unnormalizable, ZerolessRequired
 from flexnum.extnum import from_neutrix, le, monomial, sub
-from flexnum.scale import MICRO, OSLASH, POUND, ZERO, oslash, pound
+from flexnum.scale import FULL, MICRO, OSLASH, POUND, ZERO, oslash, pound
 from flexnum.seq import (
     ALT,
     Add,
@@ -25,7 +25,6 @@ from flexnum.seq import (
     eventually_le,
     eventually_subset,
     limit_arith,
-    minimal_convergence_neutrix,
     n_converges,
     n_limit,
     neutrix_seq,
@@ -56,7 +55,6 @@ class TestNLimit:
         r = n_limit(ALT)
         assert r.converges and r.limit == from_neutrix(POUND)
         assert r.minimal_neutrix == POUND and r.strong
-        assert minimal_convergence_neutrix(ALT) == POUND
 
     def test_noise_over_n(self):
         r = n_limit(neutrix_seq(OSLASH, Div(Const(one), N)))
@@ -323,6 +321,46 @@ class TestSqueezeAndBounds:
     def test_every_convergent_term_eventually_bounded(self):
         for t in support.convergent_corpus(30, 37):
             assert eventually_bounded(t) is not None
+
+    @pytest.mark.parametrize("text, bound", [
+        ("1/(1 + 1/n)", "5"),  # a form with a division tail
+        ("(-1)^n*e + M/n", "2*e"),  # microhalo noise sits below every monomial bound
+        ("w/n + e*L", "2*w"),
+        ("n + o", None),
+    ])
+    def test_bound_of_tails_and_noise(self, text, bound):
+        got = eventually_bounded(dsl.parse_seq(text))
+        assert (None if got is None else str(got)) == bound
+
+
+class TestFullLineNoise:
+    """Eventual containment when one side is the full line R."""
+
+    @pytest.mark.parametrize("u, v, want", [
+        ("1/n", "R", True),
+        ("R", "o/n + R", True),  # R inside R: the scaled o monomial is skipped
+        ("R", "o", False),
+    ])
+    def test_eventually_subset(self, u, v, want):
+        assert eventually_subset(dsl.parse_seq(u), dsl.parse_seq(v)) is want
+
+
+class TestConvergesTo:
+    """One claim rule for the global and the segment reports."""
+
+    def test_segment_report_counts_the_neutrix(self):
+        report = seq.limit_wrt_segment(Div(Const(one), N), seq.limited())
+        assert report.limit == from_neutrix(OSLASH)
+        assert report.converges_to(monomial(0), OSLASH)
+        assert report.converges_to(monomial(1), POUND)
+        assert not report.converges_to(monomial(1), OSLASH)
+        assert not report.converges_to(monomial(0), ZERO)
+
+    @pytest.mark.parametrize("report", [n_limit(ALT), seq.limit_wrt_segment(ALT, seq.limited()), n_limit(N)],
+                             ids=["global", "segment", "divergent"])
+    def test_full_line_refused(self, report):
+        with pytest.raises(ValueError, match="^N-convergence is only considered for N != R$"):
+            report.converges_to(monomial(0), FULL)
 
 
 def _reindexed_route(u, v):

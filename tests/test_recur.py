@@ -356,6 +356,26 @@ class TestAffine:
         with pytest.raises(ContractionRequired):
             affine_closed_form(one + from_neutrix(OSLASH), pound(1), conc_coarse)
 
+    def test_contraction_tested_before_the_full_line(self, conc_coarse):
+        with pytest.raises(ContractionRequired):
+            affine_closed_form(monomial(2), FULL, conc_coarse)
+        with pytest.raises(FullNotConcretizable):
+            affine_closed_form(monomial(Fraction(1, 2)), FULL, conc_coarse)
+
+    @pytest.mark.parametrize("gap, noise, want", [
+        (1, pound(1), pound(0)),
+        (2, pound(1), pound(-1)),
+        (1, pound(3), pound(2)),
+    ], ids=["e", "e^2", "e-over-e^3"])
+    def test_infinitesimal_gap_widens_the_limit_neutrix(self, conc_coarse, gap, noise, want):
+        # N/(1 - |alpha|) with 1 - |alpha| = e^gap.
+        cert = affine_closed_form(one - monomial(1, gap), noise, conc_coarse)
+        assert cert.limit_neutrix == want and cert.q < 1
+
+    def test_model_factor_rounding_to_1_is_refused(self, conc_coarse):
+        with pytest.raises(ContractionRequired, match=r"^the model's contraction factor rounds to 1\.0$"):
+            affine_closed_form(one - monomial(1, 10), ZERO, conc_coarse)
+
     def test_oslash_alpha_allowed(self, conc_coarse):
         cert = affine_closed_form(from_neutrix(OSLASH), ZERO, conc_coarse)
         assert cert.limit_neutrix == ZERO
@@ -563,7 +583,7 @@ class TestAffineReading:
             spec = RecurrenceSpec(f, one, horizon=50)
             noise = rng.choice([ZERO, OSLASH, pound(1), pound(2)])
             got = classify_stability(spec, monomial(0), noise, conc_coarse)
-            assert repr(got.to_dict()) == repr(recur._classify_affine(*want, noise, spec, conc_coarse).to_dict())
+            assert repr(got.to_dict()) == repr(recur._classify_affine(*want, noise, conc_coarse).to_dict())
 
     @pytest.mark.parametrize("consts, exact", [
         ([monomial(Fraction(k, 3)) for k in range(-4, 5)] + [monomial(2, 1)], True),

@@ -190,6 +190,20 @@ class TestAgreement:
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("build, want", [
+    (lambda: N * 2, Mul(N, Const(monomial(2)))),
+    (lambda: N / 2, Div(N, Const(monomial(2)))),
+    (lambda: N ** 2, Pow(N, Fraction(2))),
+    (lambda: 2 + N, Add(Const(monomial(2)), N)),
+    (lambda: 2 - N, Add(Const(monomial(2)), Mul(Const(monomial(-1)), N))),
+    (lambda: 2 * N, Mul(Const(monomial(2)), N)),
+    (lambda: 2 / N, Div(Const(monomial(2)), N)),
+], ids=["mul", "div", "pow", "radd", "rsub", "rmul", "rdiv"])
+def test_term_operators_build_the_node_they_name(build, want):
+    got = build()
+    assert got == want and type(got) is type(want)
+
+
 def test_neutrix_seq_matches_const_product():
     t1 = neutrix_seq(OSLASH, Div(Const(one), N))
     t2 = Mul(Const(from_neutrix(OSLASH)), Div(Const(one), N))
