@@ -33,7 +33,7 @@ import numpy as np
 
 from . import scale
 from .concretize import Concretization
-from .errors import ContractionRequired, FlexError, FullNotConcretizable, NumericOverflow, UnrepresentableDivision
+from .errors import ContractionRequired, FullNotConcretizable, NumericOverflow, UnrepresentableDivision
 from .extnum import ZERO, ExternalNumber, from_neutrix, monomial, sub
 from .extnum import div as ext_div
 from .extnum import lt as ext_lt
@@ -267,10 +267,10 @@ class OslashPow:
 class AffineCertificate:
     """Decay certificate for u_{n+1} = alpha*u_n + N with |alpha| < 1.
 
-    Per-path witnesses q in |alpha| and c in N give the stepwise bound
-    |t_n| <= (|t_0| + c/(1-q)) q^n + c/(1-q); the limit neutrix of the
-    differences is N/(1-|alpha|): N when the gap 1-|alpha| is appreciable,
-    larger when it is infinitesimal.
+    The exact limit neutrix N/(1-|alpha|) of the differences decides: N when
+    the gap 1-|alpha| is appreciable, larger when it is infinitesimal.  The
+    model's q in |alpha| and c in N are evidence: per path they give the bound
+    |t_n| <= (|t_0| + c/(1-q)) q^n + c/(1-q), where q < 1 (see ``envelope``).
     """
 
     alpha: ExternalNumber
@@ -280,13 +280,14 @@ class AffineCertificate:
     limit_neutrix: Neutrix
 
     def envelope(self, n, t0_abs: float):
+        if not self.q < 1.0:
+            raise ContractionRequired(f"the model's contraction factor rounds to {self.q}")
         geo = self.c / (1.0 - self.q) if self.c else 0.0
         return (t0_abs + geo) * self.q ** np.asarray(n, dtype=float) + geo
 
 
 def affine_closed_form(alpha: ExternalNumber, noise: Neutrix, conc: Concretization) -> AffineCertificate:
-    """Certificate for the contraction case |alpha| < 1; ContractionRequired
-    when that fails, or when the model's contraction factor is not below 1."""
+    """Certificate for the contraction case |alpha| < 1; ContractionRequired otherwise."""
     one = monomial(1)
     if not ext_lt(abs(alpha), one):
         raise ContractionRequired(f"|{alpha}| < 1 fails")
@@ -295,10 +296,7 @@ def affine_closed_form(alpha: ExternalNumber, noise: Neutrix, conc: Concretizati
     # |alpha| < 1 makes 1 - |alpha| zeroless.
     limit_neutrix = ext_div(from_neutrix(noise), sub(one, abs(alpha))).neutrix
     q = conc.center(abs(alpha)) + conc.radius(alpha.neutrix)
-    if not (0.0 <= q < 1.0):
-        raise ContractionRequired(f"the model's contraction factor rounds to {q}")
-    c = conc.radius(noise)
-    return AffineCertificate(alpha, noise, q, c, limit_neutrix)
+    return AffineCertificate(alpha, noise, q, conc.radius(noise), limit_neutrix)
 
 
 def affine_spec(alpha: ExternalNumber, noise: Neutrix, u0: ExternalNumber,
@@ -412,8 +410,10 @@ def classify_stability(
 
     Affine right-hand sides are decided analytically; everything else is
     attacked by sampled falsification (perturb, run, watch the difference),
-    which can never return Proven.
+    which can never return Proven.  Stability modulo R is refused.
     """
+    if noise.is_full:
+        raise ValueError("stability modulo N is only considered for N != R")
     match = _match_affine(spec.f)
     if match is not None and reference.rep.is_zero and reference.neutrix.is_zero:
         alpha, fnoise = match
@@ -428,17 +428,15 @@ def _classify_affine(alpha: ExternalNumber, fnoise: Neutrix, noise: Neutrix, con
     except ContractionRequired as exc:
         one = monomial(1)
         if alpha.is_zeroless and ext_lt(one, abs(alpha)):
-            # Expansion: construct the escaping difference explicitly.
+            # Expansion: the model's difference path is shown where it escapes.
             q = conc.center(abs(alpha)) - conc.radius(alpha.neutrix)
             r = conc.radius(noise) if not noise.is_zero else conc.eps0
             path = [r]
             while abs(path[-1]) <= 10.0 * r + 1.0 and len(path) < 10_000:
                 path.append(path[-1] * q)
-            evidence.update(
-                route="affine analysis (expansion)",
-                q=q,
-                escaping_path=np.asarray(path),
-            )
+            evidence.update(route="affine analysis (expansion)", q=q)
+            if abs(path[-1]) > 10.0 * r + 1.0:
+                evidence["escaping_path"] = np.asarray(path)
             return StabilityVerdict(Flag.FALSIFIED, Flag.FALSIFIED, Flag.FALSIFIED, evidence)
         evidence["route"] = f"affine analysis inconclusive ({exc})"
         return StabilityVerdict(Flag.UNKNOWN, Flag.UNKNOWN, Flag.UNKNOWN, evidence)
@@ -485,21 +483,17 @@ def _classify_sampled(
     # Column 0 is the reference path, every parameter at its center; then the
     # stability run's columns and 16 per tolerance scale, drawn in turn.  The
     # scales' eight (h, k, 16) blocks are one stream, held as (h, k, 128).
+    # A parameter or noise the model cannot draw is refused before any run.
     diffs = np.empty((h + 1, 1 + samples + 128))
     diffs[0, 0] = conc.center(reference)
-    try:
-        r_noise = conc.radius(noise)
-        centers, noisy, draw = conc.drawer(params)
-        if min(h, samples) < 1:
-            raise ValueError(f"sampled stability needs a horizon and samples of at least 1, got {h} and {samples}")
-        k = len(noisy)
-        within = conc.sample_neutrix(noise, rng, size=samples)
-        stab = draw(rng, h, samples)
-        scales = draw(rng, 8 * h, 16).reshape(8, h, k, 16).transpose(1, 2, 0, 3).reshape(h, k, 128)
-    except FlexError:
-        # The reference path's own refusal comes first, as when it ran alone.
-        reference_path(RecurrenceSpec(spec.f, reference, h, spec.n0), conc)
-        raise
+    r_noise = conc.radius(noise)
+    centers, noisy, draw = conc.drawer(params)
+    if min(h, samples) < 1:
+        raise ValueError(f"sampled stability needs a horizon and samples of at least 1, got {h} and {samples}")
+    k = len(noisy)
+    within = conc.sample_neutrix(noise, rng, size=samples)
+    stab = draw(rng, h, samples)
+    scales = draw(rng, 8 * h, 16).reshape(8, h, k, 16).transpose(1, 2, 0, 3).reshape(h, k, 128)
     at_center = np.array(centers, dtype=float)[noisy, None]
     grid = np.geomspace(max(r_noise * 4.0, conc.eps0 ** 12), 0.5, num=8)
     diffs[0, 1:] = diffs[0, 0] + np.concatenate([within] + [np.full(16, s * 0.5) for s in grid])

@@ -51,6 +51,8 @@ indices the scale dominates n.  Segment-relative limits
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -61,6 +63,7 @@ from .errors import (
     DivisionByNeutrix,
     EvalDomain,
     HypothesisUnverified,
+    ResultTooLarge,
     Unnormalizable,
     ZerolessRequired,
 )
@@ -360,13 +363,21 @@ def _eval_div(num: Callable, den: Callable) -> Callable:
     return at
 
 
+def _geom_at(b: Fraction, n: int) -> ExternalNumber:
+    """b^n, refused uncomputed when it has more digits than the interpreter turns into text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and b != 1 and n > limit / math.log10(max(b.numerator, b.denominator)):
+        raise ResultTooLarge(f"({b})^{n} has more than {limit} digits, too large to print")
+    return monomial(b ** n)
+
+
 # Compiles a term into n -> u_n.  A quotient evaluates its denominator first,
 # so a failing denominator is the error reported.
 _EVAL = {
     Const: lambda c: lambda n: c.value,
     Index: lambda _: lambda n: monomial(n),
     AltSign: lambda _: lambda n: monomial((-1) ** (n % 2)),
-    Geom: lambda g: lambda n: monomial(g.base ** n),
+    Geom: lambda g: lambda n: _geom_at(g.base, n),
     Add: lambda _, a, b: lambda n: a(n) + b(n),
     Mul: lambda _, a, b: lambda n: a(n) * b(n),
     Div: lambda _, a, b: _eval_div(a, b),
@@ -454,28 +465,6 @@ class NormalForm:
     @property
     def exact(self) -> bool:
         return not self.tails and not self.trimmed
-
-    def eval_at(self, n: int) -> ExternalNumber:
-        """Pointwise value at a fixed limited index (exact forms only).
-
-        Noise monomials are scale-invariant under the rational factor n^r b^n,
-        so each contributes its neutrix unchanged.
-        """
-        if not self.exact:
-            raise ValueError("this normal form only equals the term for large n")
-        if n < 1:
-            raise EvalDomain("normal forms are defined for n >= 1")
-        series = []
-        for (q, r, b, alt), c in self.point:
-            f = _rational_pow(Fraction(n), r)
-            if f is None:
-                raise EvalDomain(f"n^{r} irrational at n={n}")
-            val = c * f * b ** n * ((-1) ** (n % 2) if alt else 1)
-            series.append((val, q))
-        noise = scale.ZERO
-        for _, nx in self.noise:
-            noise = noise + nx
-        return ExternalNumber(FormalSeries.from_terms(series), noise)
 
     def __str__(self) -> str:
         return _form_text(self.point, self.noise, self.tails, self.trimmed)

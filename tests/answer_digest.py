@@ -15,6 +15,12 @@ from this repository's ``perfbench/``.  Slices:
   an exception as its type and text.  The ``seq-questions`` line also holds
   ``eventually_bounded`` of both terms; the ``extnum-pairs`` line every op of
   ``workloads.PAIR_OPS`` and ``disjoint``.
+- ``numeric``, one line per seed, over the first N/8 (at least one)
+  ``numeric-oracle`` inputs: every answer of ``workloads.NumericOracle``
+  (the verdict's flags and JSON evidence, route included; the
+  ``sample_paths`` values; the Borel–Ritt value and shadow levels; the match
+  entry times and violations), then the case's affine map classified modulo
+  ``inputs.STABILITY_NOISE`` and modulo its own noise.
 - ``cli``: the exit code and stdout of every ``perfbench/cli_cases.py``
   command, run through ``cli.main``.
 - ``demos``: the stdout of every script in ``demos/``, each in a fresh
@@ -38,18 +44,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import cli_cases  # noqa: E402
+import inputs  # noqa: E402
 import workloads  # noqa: E402
 import flexnum  # noqa: E402
-from flexnum import cli, extnum, seq  # noqa: E402
+from flexnum import apps, cli, extnum, recur, seq  # noqa: E402
 
 SEEDS = (3, 7, 11)
-SLICES = ("seq-questions", "extnum-pairs", "cli", "demos")
+SLICES = ("seq-questions", "extnum-pairs", "numeric", "cli", "demos")
 
 
 def _text(value) -> str:
-    """One answer as text: a limit report by its fields, an exception by type and message."""
+    """One answer as text: a limit report, a verdict or a match by its fields,
+    sampled paths by a digest of their values, an exception by type and message."""
     if isinstance(value, seq.LimitReport):
         return repr((value.status.value, str(value.limit), str(value.minimal_neutrix), value.strong, value.witness))
+    if isinstance(value, recur.StabilityVerdict):
+        return repr(value.to_dict())
+    if isinstance(value, recur.PathSet):
+        return hashlib.sha256(value.values.tobytes()).hexdigest()
+    if isinstance(value, apps.MatchResult):
+        return repr((value.t_enter_halo, value.t_enter_eps_tube, value.t_singular, value.violations))
     if isinstance(value, BaseException):
         return f"{type(value).__name__}: {value}"
     return str(value)
@@ -73,6 +87,19 @@ def _seq_answers(seed: int, items: int):
 def _pair_answers(seed: int, items: int):
     for a, b in itertools.islice(workloads.ExtnumPairs(seed).items, items):
         yield [_answer(getattr(extnum, name), a, b) for name in workloads.PAIR_OPS + ("disjoint",)]
+
+
+def _numeric_answers(seed: int, items: int):
+    work = workloads.NumericOracle(seed)
+    for case in itertools.islice(work.items, items):
+        answers = work.query(case)
+        shadow = answers.pop("borel_ritt")
+        if not isinstance(shadow, BaseException):
+            shadow = (str(shadow[0].value), shadow[1])
+        yield sorted((key, _text(value)) for key, value in answers.items()) + [_text(shadow)]
+        spec = recur.affine_spec(case.affine_alpha, case.affine_noise, case.affine_u0, horizon=200)
+        yield [_answer(recur.classify_stability, spec, extnum.ZERO, noise, work.conc, 1000, case.path_seed)
+               for noise in (inputs.STABILITY_NOISE, case.affine_noise)]
 
 
 def _cli_answers():
@@ -108,6 +135,10 @@ def digest_lines(slices=SLICES, items: int = 800):
     if "extnum-pairs" in slices:
         for seed in SEEDS:
             yield f"extnum-pairs seed={seed} items={10 * items} {_sha(_pair_answers(seed, 10 * items))}"
+    if "numeric" in slices:
+        cases = max(1, items // 8)
+        for seed in SEEDS:
+            yield f"numeric seed={seed} items={cases} {_sha(_numeric_answers(seed, cases))}"
     if "cli" in slices:
         yield f"cli commands={len(cli_cases.COMMANDS)} {_sha(_cli_answers())}"
     if "demos" in slices:
@@ -118,7 +149,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("slices", nargs="*", help=f"slices to digest, of {', '.join(SLICES)} (default: all)")
     parser.add_argument("--items", type=int, default=800,
-                        help="seq-questions inputs per seed; extnum-pairs takes ten times as many")
+                        help="seq-questions inputs per seed; extnum-pairs takes ten times as many, numeric an eighth")
     args = parser.parse_args(argv)
     unknown = sorted(set(args.slices) - set(SLICES))
     if unknown:

@@ -20,6 +20,7 @@ import numpy as np
 
 from flexnum import scale, seq
 from flexnum.concretize import Concretization
+from flexnum.errors import EvalDomain
 from flexnum.extnum import ExternalNumber, FormalSeries, from_neutrix, monomial
 from flexnum.scale import Neutrix
 from flexnum.seq import (
@@ -36,6 +37,35 @@ from flexnum.seq import (
 )
 
 AGREE, SKIP, DISAGREE = "agree", "skip", "disagree"
+
+
+# ---------------------------------------------------------------------------
+# Form oracle
+# ---------------------------------------------------------------------------
+
+
+def form_at(nf: seq.NormalForm, n: int) -> ExternalNumber:
+    """An exact normal form's value at a limited index n >= 1, summed from its
+    monomials: the second evaluator that ``seq.eval_at`` is checked against.
+
+    Noise monomials are scale-invariant under the rational factor n^r b^n,
+    so each contributes its neutrix unchanged.
+    """
+    if not nf.exact:
+        raise ValueError("this normal form only equals the term for large n")
+    if n < 1:
+        raise EvalDomain("normal forms are defined for n >= 1")
+    series = []
+    for (q, r, b, alt), c in nf.point:
+        f = seq._rational_pow(Fraction(n), r)
+        if f is None:
+            raise EvalDomain(f"n^{r} irrational at n={n}")
+        val = c * f * b ** n * ((-1) ** (n % 2) if alt else 1)
+        series.append((val, q))
+    noise = scale.ZERO
+    for _, nx in nf.noise:
+        noise = noise + nx
+    return ExternalNumber(FormalSeries.from_terms(series), noise)
 
 
 # ---------------------------------------------------------------------------

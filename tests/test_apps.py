@@ -266,8 +266,8 @@ class TestMatchBookkeeping:
         assert messages[0].startswith("sign condition fails at (t=0.001, |y|=")
 
     def test_pole_met_first_by_the_probe_still_raises(self):
-        # At t = 107*dt the probe divides 0.0 by 0.0; no RK4 stage of a step
-        # before it lands on that time.
+        # At t = 107*dt the field divides 0.0 by 0.0.  No RK4 stage of a step
+        # before step 108 lands on that time; that step's first stage raises.
         dt = 5e-6
         pole = 107 * dt
         calls = []
@@ -278,4 +278,5 @@ class TestMatchBookkeeping:
 
         with pytest.raises(ZeroDivisionError):
             apps.match_simulate(field_problem(field))
-        assert calls[-1] == (pole, 1e-4)
+        t, y = calls[-1]
+        assert t == pole and y not in (0.0, 1e-4)

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -219,7 +220,8 @@ class TestRecur:
         ("(1 - e^2)*u + e*L", "e*L", "falsified", "w*L"),
         ("(1 - e)*u + e^3*L", "e*L", "proven", "e^2*L"),
         ("(1 - e)*u + e^3*L", "e^3*L", "falsified", "e^2*L"),
-    ], ids=["gap-e", "gap-e^2", "gap-e-proven", "gap-e-falsified"])
+        ("(1 - e^10)*u + e*L", "e*L", "falsified", "w^9*L"),  # the model's factor rounds to 1
+    ], ids=["gap-e", "gap-e^2", "gap-e-proven", "gap-e-falsified", "gap-e^10"])
     def test_infinitesimal_gap(self, capsys, f, neutrix, flag, limit_neutrix):
         code, out, _ = run(capsys, "--format", "json", "recur", "--f", f, "--u0", "0", "--neutrix", neutrix)
         payload = json.loads(out)
@@ -230,13 +232,13 @@ class TestRecur:
         if flag == "falsified":
             assert evidence["escape"] == f"differences settle in {limit_neutrix}, which exceeds {neutrix}"
 
-    def test_model_factor_rounding_to_1_is_inconclusive(self, capsys):
+    def test_model_factor_rounding_to_1_keeps_the_exact_verdict(self, capsys):
         code, out, _ = run(capsys, "recur", "--f", "(1 - e^10)*u", "--u0", "0", "--neutrix", "0")
-        assert code == 0
+        assert code == 1
         assert out == (
-            "stable: unknown\nasymptotically stable: unknown\nstrongly asymptotically stable: unknown\n"
-            "  route: affine analysis inconclusive (the model's contraction factor rounds to 1.0)\n"
-            "  alpha: 1 - e^10\n  f_noise: 0\n"
+            "stable: proven\nasymptotically stable: proven\nstrongly asymptotically stable: falsified\n"
+            "  route: affine analysis\n  alpha: 1 - e^10\n  f_noise: 0\n  q: 1.0\n  c: 0.0\n"
+            "  limit_neutrix: 0\n  strong: a nonzero difference never reaches exactly 0\n"
         )
 
     def test_contraction_proven_however_spelled(self, capsys):
@@ -688,6 +690,40 @@ _MATCH = ("match", "--f", "-y", "--eps", "1e-2", "--y0", "1", "--tmax", "1")
 def test_bad_numeric_argument_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# Refusals that no other test reaches.  A parse error shows the source and a caret.
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "2^n"), "X^n only makes sense in a sequence expression at position 2\n  2^n\n    ^"),
+    (("limit", "(1/2+o)^n"), "only rational bases may be raised to the power n at position 8\n  (1/2+o)^n\n          ^"),
+    (("limit", "0^n"), "0^n is just 0; write 0 at position 2\n  0^n\n    ^"),
+    (("eval", "e^1001"), "exponent out of range at position 2\n  e^1001\n    ^"),
+    (("eval", "e^(x)"), "syntax error at position 3 (expected an integer)\n  e^(x)\n     ^"),
+    (("eval", "o^-1"), "negative power of non-zeroless value o at position 2\n  o^-1\n    ^"),
+    (("eval", "(-4)^(1/2)"), "fractional power of a non-positive value at position 5\n  (-4)^(1/2)\n       ^"),
+    (("eval", "(1+e)^(1/2)"), "fractional power of non-monomial value 1 + e at position 6\n  (1+e)^(1/2)\n        ^"),
+    (("limit", "--wrt", "foo:1", "1/n"), "unknown segment 'foo:1'; use limited/all/finite:m/halo:q/galaxy:q"),
+    (("eval", "--n", "-1", "1/n"), "indices are natural numbers"),
+    (("limit", "((-1)^n)^(1/2)"), "fractional power of an alternating term"),
+    (("limit", "(n*R)*(1/(n+1))"), "cannot bound the full line inside a product tail"),
+    (("recur", "--f", "u/2 + e*L", "--u0", "0", "--neutrix", "R"), "stability modulo N is only considered for N != R"),
+], ids=["sequence-power", "irrational-base", "zero-base", "exponent-range", "exponent-syntax", "negative-power",
+        "root-of-negative", "root-of-sum", "segment", "negative-index", "root-of-alternating", "full-line-tail",
+        "recur-modulo-R"])
+def test_refusal_is_one_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [("eval", "--n", "100000000", "(3/2)^n"),
+                                  ("limit", "--wrt", "finite:100000000", "(3/2)^n")], ids=["eval", "finite-segment"])
+def test_geometric_leaf_at_a_huge_index_is_refused_before_it_is_computed(capsys, argv):
+    start = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: (3/2)^100000000 has more than {limit} digits, too large to print\n"
 
 
 _NUMPY_MEMORY = "Unable to allocate 1.46 TiB for an array with shape (200000001,) and data type float64"

@@ -272,6 +272,17 @@ class TestLimitArith:
         combined = Add(u_term, Mul(Const(monomial(-1)), v_term))
         assert prediction_consistent(pred2, n_limit(combined))
 
+    def test_divergent_prediction(self):
+        # Consistent only when the prediction and the answer both diverge.
+        assert not prediction_consistent(n_limit(N), n_limit(u_term))
+        assert not prediction_consistent(n_limit(u_term), n_limit(N))
+        assert prediction_consistent(n_limit(N), n_limit(Mul(N, N)))
+
+    def test_mismatched_prediction(self):
+        # Another limit, or a neutrix wider than the predicted one.
+        assert not prediction_consistent(n_limit(u_term), n_limit(Add(u_term, Const(one))))
+        assert not prediction_consistent(n_limit(v_term), n_limit(u_term))
+
     def test_oscillation_cancellation_is_consistent_not_equal(self):
         # (-1)^n - (-1)^n converges precisely to 0; the predicted L is an
         # upper bound the theorems allow, not the minimal neutrix.
@@ -305,6 +316,16 @@ class TestSqueezeAndBounds:
                 ZERO,
                 ZERO,
             )
+
+    def test_upper_limit_rejected(self):
+        with pytest.raises(HypothesisUnverified, match=r"^upper sequence does not 0-converge to 0$"):
+            squeeze(Div(Const(monomial(-1)), N), Div(ALT, N), Add(Const(one), Div(Const(one), N)),
+                    monomial(0), ZERO, ZERO)
+
+    def test_upper_ordering_rejected(self):
+        two_over_n = Div(Const(monomial(2)), N)
+        with pytest.raises(HypothesisUnverified, match=r"^ordering v <= w not established on a tail$"):
+            squeeze(Div(Const(monomial(-1)), N), two_over_n, Div(Const(one), N), monomial(0), ZERO, ZERO)
 
     def test_unordered_rejected(self):
         with pytest.raises(HypothesisUnverified):

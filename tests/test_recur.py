@@ -82,6 +82,11 @@ class TestPaths:
         b = sample_paths(spec, conc_coarse, count=16, seed=9)
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
+    def test_no_paths_refused(self, conc_coarse):
+        spec = RecurrenceSpec(Var("u"), one, horizon=3)
+        with pytest.raises(ValueError, match=r"^need at least one path$"):
+            sample_paths(spec, conc_coarse, count=0, seed=1)
+
     def test_compensated_draws_one_parameter_per_leaf(self, conc_coarse):
         leaves = [
             monomial(Fraction(1, 2)) + from_neutrix(OSLASH),
@@ -373,8 +378,11 @@ class TestAffine:
         assert cert.limit_neutrix == want and cert.q < 1
 
     def test_model_factor_rounding_to_1_is_refused(self, conc_coarse):
+        # The exact part stands; only the model's envelope needs q < 1.
+        cert = affine_closed_form(one - monomial(1, 10), ZERO, conc_coarse)
+        assert (cert.limit_neutrix, cert.q) == (ZERO, 1.0)
         with pytest.raises(ContractionRequired, match=r"^the model's contraction factor rounds to 1\.0$"):
-            affine_closed_form(one - monomial(1, 10), ZERO, conc_coarse)
+            cert.envelope(np.arange(3), 1.0)
 
     def test_oslash_alpha_allowed(self, conc_coarse):
         cert = affine_closed_form(from_neutrix(OSLASH), ZERO, conc_coarse)
@@ -442,6 +450,31 @@ class TestStability:
         assert v.stable is Flag.FALSIFIED
         path = v.evidence["escaping_path"]
         assert abs(path[-1]) > abs(path[0])
+
+    # Growth 2 and 1 + e escape within the model's 10 000 steps; at 1 + e^2
+    # and 1 + e^10 the model's factor is 1.000001 and 1.0, and no path is shown.
+    @pytest.mark.parametrize("alpha, escapes", [
+        (monomial(2), True), (one + monomial(1, 1), True), (one + monomial(1, 2), False),
+        (one + monomial(1, 10), False),
+    ], ids=["2", "1+e", "1+e^2", "1+e^10"])
+    def test_expansion_path_shown_only_where_it_escapes(self, conc_coarse, alpha, escapes):
+        v = classify_stability(affine_spec(alpha, pound(1), one, horizon=5), monomial(0), pound(1), conc_coarse)
+        assert (v.stable, v.asymptotically_stable, v.strongly_asymptotically_stable) == (Flag.FALSIFIED,) * 3
+        assert v.evidence["route"] == "affine analysis (expansion)"
+        bound = 10 * conc_coarse.radius(pound(1)) + 1
+        path = v.evidence.get("escaping_path")
+        if not escapes:
+            assert path is None
+        else:
+            # The model's repeated product, up to its first value past the bound.
+            assert np.array_equal(path[1:], path[:-1] * v.evidence["q"])
+            assert abs(path[-1]) > bound >= np.abs(path[:-1]).max()
+
+    @pytest.mark.parametrize("f", ["u/2 + e*L", "2*u", "u/2 + u^2 + e*L"], ids=["affine", "expansion", "sampled"])
+    def test_modulo_R_is_refused_before_routing(self, conc_coarse, f):
+        spec = RecurrenceSpec(parse_recur_rhs(f), monomial(0), horizon=5)
+        with pytest.raises(ValueError, match=r"^stability modulo N is only considered for N != R$"):
+            classify_stability(spec, monomial(0), FULL, conc_coarse, samples=10)
 
     def test_evidence_json_keeps_numbers(self, conc_coarse):
         contraction = affine_spec(monomial(Fraction(1, 2)), pound(1), one, horizon=50)
@@ -698,11 +731,13 @@ class TestDrawOrder:
     def run_by_run(spec, reference, noise, conc, samples, seed):
         """The sampled classification as nine runs in turn, each drawing every
         parameter at every step: the loop that the one batch replaces.  Returns
-        the verdict and the nine runs' paths side by side."""
-        ref = reference_path(RecurrenceSpec(spec.f, reference, spec.horizon, spec.n0), conc)
+        the verdict and the nine runs' paths side by side.  The noise and
+        every parameter are modelled before any run."""
         r_noise = conc.radius(noise)
-        rng = np.random.default_rng([conc.seed, seed, 7])
         params = parameters(spec.f)
+        conc.drawer(params)
+        ref = reference_path(RecurrenceSpec(spec.f, reference, spec.horizon, spec.n0), conc)
+        rng = np.random.default_rng([conc.seed, seed, 7])
         step = recur._compile(spec.f, [])
         paths = []
 
@@ -804,13 +839,14 @@ class TestDrawOrder:
     # The reference path and the horizon, where not 0 and 200.  From 1 the
     # stability runs leave double range early, and the reference meets the
     # float overflow of (3/2)^n at n=1751.  From 2 the reference leaves double
-    # range at n=9, and the radius of e^(-400)*L overflows a double.
+    # range at n=9, but the radius of e^(-400)*L overflows a double first.
     STARTS = {"u^2 + (3/2)^n*e*L": (1, 1800), "u^2 + e^(-400)*L": (2, 200)}
+    # The refusal met first, where it is not a perturbed path's.
+    FIRST = {"u^2 + (3/2)^n*e*L": "reference path ", "u^2 + e^(-400)*L": "neutrix w^400*L "}
 
     # With zero noise the stability run stays at 0 and only the last scale
     # escapes.  In the sixth case the scales' runs are nan from n=0, and the
     # stability run, first in order, leaves double range at n=1 without a nan.
-    # In the last two the reference path's refusal wins.
     @pytest.mark.parametrize("f, noise", [
         ("u + u^2", pound(1)), ("u + u^2", ZERO), ("u + u^2 + e*L", pound(1)),
         ("u*u*u*1000 + e*L", pound(1)), ("u^(1/2) + e*L", pound(1)),
@@ -823,7 +859,7 @@ class TestDrawOrder:
         args = (spec, monomial(start), noise, conc_coarse)
         with pytest.raises(NumericOverflow) as want:
             self.run_by_run(*args, samples=200, seed=1)
-        assert str(want.value).startswith("reference path ") == (f in self.STARTS)
+        assert str(want.value).startswith(self.FIRST.get(f, "perturbed path "))
         with pytest.raises(NumericOverflow, match=f"^{re.escape(str(want.value))}$"):
             classify_stability(*args, samples=200, seed=1)
 
