@@ -47,7 +47,7 @@ verdict = classify_stability(spec, monomial(0), pound(1), conc)
 print(f"  verdict: stable={verdict.stable.value}, "
       f"asymptotic={verdict.asymptotically_stable.value}, "
       f"strong={verdict.strongly_asymptotically_stable.value}")
-print(f"  certificate: q = {verdict.evidence['q']:.4f}, c = {verdict.evidence['c']:.3e}")
+print(f"  differences settle in {verdict.evidence['limit_neutrix']} = e*L/(1 - |1/2 + o|)")
 
 print()
 print("== a drain: stable without attracting ==")

@@ -273,7 +273,7 @@ def match_simulate(p: SlowCurveProblem, conc: Optional[Concretization] = None) -
     for name, x in (("eps0", p.eps0), ("dt", p.dt), ("t_max", p.t_max), ("attract_width", p.attract_width)):
         if not x > 0:
             raise ValueError(f"{name} must be positive, got {x}")
-    for name, x in (("eps0", p.eps0), ("y0", p.y0), ("t_max", p.t_max)):
+    for name, x in (("eps0", p.eps0), ("y0", p.y0), ("t_max", p.t_max), ("attract_width", p.attract_width)):
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x}")
     if p.dt > p.eps0 / 10.0:

@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recur", parents=common, help="stability of a flexible recurrence")
     p.add_argument("--f", required=True, help="right-hand side over n, u and external literals")
-    p.add_argument("--u0", required=True)
+    p.add_argument("--u0", required=True, help="read by no verdict; the verdicts start from --reference")
     p.add_argument("--neutrix", required=True)
     p.add_argument("--reference", default="0", help="reference solution initial value")
     p.add_argument("--samples", type=int, default=1000)

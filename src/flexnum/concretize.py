@@ -58,6 +58,8 @@ class Concretization:
         # At or below delta, M would be no narrower than o (radius eps0**delta).
         if self.micro_exp <= self.delta:
             raise ValueError(f"micro_exp must exceed delta ({self.delta}), got {self.micro_exp}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         """A generator owned by one test/worker; streams do not collide."""

@@ -40,7 +40,7 @@ class NumericOverflow(FlexError):
 
 
 class ContractionRequired(FlexError):
-    """The affine coefficient is not below 1 in absolute value, or, in an envelope, its model is not."""
+    """The affine coefficient is not below 1 in absolute value."""
 
 
 class FullNotConcretizable(FlexError):

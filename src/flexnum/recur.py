@@ -8,14 +8,17 @@ which is what makes powers of the infinitesimal neutrix come out as the
 family L*exp(-n*oo) rather than a fixed monomial.
 
 Every path (sampled, reference or perturbed) advances through one step
-loop, :func:`_run`, with one overflow rule: a step is refused unless every
-value has magnitude at most 1e300, and the refusal says whether the step
-left the reals (nan) or double range.  The loop tests that rule once every
-32 steps, and an arithmetic error or a complex value in a step ends it with
-a non-finite row; one scan of all the rows then names the first bad step, the
-step that a test after each step would.  A run draws all its steps as one
-block; the stability check batches its ten runs as columns of one run: the
-reference path first, then the stability run and eight tolerance-scale runs.
+loop, :func:`_run`, with one overflow rule for the columns it checks: a step
+is refused unless every value has magnitude at most 1e300, and the refusal
+says whether the step left the reals (nan) or double range.  The loop tests
+that rule once every 32 steps, and an arithmetic error or a complex value in
+a step ends it with a non-finite row; one scan of the checked rows then names
+the first bad step, the step that a test after each step would.  A run draws
+all its steps as one block; the stability check batches its ten runs as
+columns of one run, the reference path first, then the stability run and
+eight tolerance-scale runs.  Only the reference path is checked there: a
+perturbed path that leaves double range escapes, and one that leaves the
+reals shows nothing.
 
 Stability verdicts are honest about semi-decidability: only the affine
 analysis yields Proven; sampling can merely falsify, and otherwise reports
@@ -27,13 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import scale
 from .concretize import Concretization
-from .errors import ContractionRequired, FullNotConcretizable, NumericOverflow, UnrepresentableDivision
+from .errors import ContractionRequired, NumericOverflow, UnrepresentableDivision
 from .extnum import ZERO, ExternalNumber, from_neutrix, monomial, sub
 from .extnum import div as ext_div
 from .extnum import lt as ext_lt
@@ -41,7 +44,7 @@ from .scale import Neutrix
 from .seq import AltSign, Add, Const, Div, Geom, Index, Mul, Pow, Term, Var, compile_float, fold
 
 _OVERFLOW = 1e300
-# _run tests the first group for overflow once per this many steps.
+# _run tests its checked columns for overflow once per this many steps.
 _TEST_EVERY = 32
 # A sampled difference escapes when it leaves this multiple of the noise radius.
 _ESCAPE_FACTOR = 4.0
@@ -105,26 +108,26 @@ def _summands(f: Term) -> List[Term]:
 
 
 def _run(step: Callable, values: np.ndarray, n0: int, centers: List[float], noisy: List[int],
-         blocks: Callable, groups: Sequence[Tuple[str, slice]]) -> None:
+         blocks: Callable, what: str, checked=slice(None)) -> None:
     """Fill rows 1.. of ``values`` from row 0: row i+1 is step(n, row i, draws)
     with n = n0 + i; precise parameters draw their centers, and parameter
     ``noisy[k]`` draws row k of ``blocks(i)``.
 
-    A step is refused unless every value has magnitude at most ``_OVERFLOW``,
-    a test that inf and nan fail too; a step holding a nan left the reals
-    rather than double range, and says so.  ``groups`` are named runs batched
-    as columns, in the order they would go in turn: only the first stops the
-    loop, and the first group with a bad step is refused, at its first bad
-    step.  The loop tests the first group over the last ``_TEST_EVERY`` rows
-    every ``_TEST_EVERY`` steps, so it stops at most that many steps past the
-    first bad one.  An arithmetic error in a step (at Python floats ``b ** n``
-    of a geometric leaf overflows and ``0 ** -1`` of an index leaf raises,
-    where numpy columns hold inf) ends the loop with a row of inf, and a
-    complex value (``(-1) ** 0.5`` at Python floats) with a row of nan.  One
-    scan of all the rows after the loop names the refused step.
+    The ``checked`` columns are refused, as the run ``what``, at their first
+    bad step: a step is bad unless every value has magnitude at most
+    ``_OVERFLOW``, a test that inf and nan fail too, and a step holding a nan
+    left the reals rather than double range, and says so.  The other columns
+    are data, and may hold inf or nan.  The loop tests the checked columns
+    over the last ``_TEST_EVERY`` rows every ``_TEST_EVERY`` steps, so it stops
+    at most that many steps past their first bad one.  An arithmetic error in
+    a step (at Python floats ``b ** n`` of a geometric leaf overflows and
+    ``0 ** -1`` of an index leaf raises, where numpy columns hold inf) ends the
+    loop with a row of inf, and a complex value (``(-1) ** 0.5`` at Python
+    floats) with a row of nan.  One scan of the checked rows after the loop
+    names the refused step.
     """
     draws = [np.full(values.shape[1], c, dtype=float) for c in centers]
-    first = values[:, groups[0][1]]
+    watched = values[:, checked]
     with np.errstate(all="ignore"):
         for i in range(len(values) - 1):
             for j, row in zip(noisy, blocks(i)):
@@ -141,15 +144,13 @@ def _run(step: Callable, values: np.ndarray, n0: int, centers: List[float], nois
                     raise
                 values[i + 1] = np.nan
                 break
-            if (i + 1) % _TEST_EVERY == 0 and not (np.abs(first[i + 2 - _TEST_EVERY:i + 2]) <= _OVERFLOW).all():
-                break  # the first group is refused below; the rows past this one stay unset
-        ok = np.abs(values[1:]) <= _OVERFLOW
-    for what, cols in groups:
-        bad = ~ok[:, cols].all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            why = "is not a number" if np.isnan(values[i + 1, cols]).any() else "left double range"
-            raise NumericOverflow(f"{what} {why} at step n={n0 + i}")
+            if (i + 1) % _TEST_EVERY == 0 and not (np.abs(watched[i + 2 - _TEST_EVERY:i + 2]) <= _OVERFLOW).all():
+                break  # refused below; the rows past this one stay unset
+        bad = ~(np.abs(watched[1:]) <= _OVERFLOW).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = "is not a number" if np.isnan(watched[i + 1]).any() else "left double range"
+        raise NumericOverflow(f"{what} {why} at step n={n0 + i}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +218,7 @@ def sample_paths(
     # Fresh draws per step and per occurrence, all steps in one block.
     centers, noisy, draw = conc.drawer(params)
     block = draw(rng, h, count)
-    _run(step, values, spec.n0, centers, noisy, block.__getitem__, [("path", slice(None))])
+    _run(step, values, spec.n0, centers, noisy, block.__getitem__, "path")
     draws = [block[:, noisy.index(j)] if j in noisy else np.broadcast_to(c, (h, count))
              for j, c in enumerate(centers)]
     return PathSet(spec.n0, values, tuple(draws))
@@ -263,40 +264,16 @@ class OslashPow:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineCertificate:
-    """Decay certificate for u_{n+1} = alpha*u_n + N with |alpha| < 1.
-
-    The exact limit neutrix N/(1-|alpha|) of the differences decides: N when
-    the gap 1-|alpha| is appreciable, larger when it is infinitesimal.  The
-    model's q in |alpha| and c in N are evidence: per path they give the bound
-    |t_n| <= (|t_0| + c/(1-q)) q^n + c/(1-q), where q < 1 (see ``envelope``).
-    """
-
-    alpha: ExternalNumber
-    noise: Neutrix
-    q: float
-    c: float
-    limit_neutrix: Neutrix
-
-    def envelope(self, n, t0_abs: float):
-        if not self.q < 1.0:
-            raise ContractionRequired(f"the model's contraction factor rounds to {self.q}")
-        geo = self.c / (1.0 - self.q) if self.c else 0.0
-        return (t0_abs + geo) * self.q ** np.asarray(n, dtype=float) + geo
-
-
-def affine_closed_form(alpha: ExternalNumber, noise: Neutrix, conc: Concretization) -> AffineCertificate:
-    """Certificate for the contraction case |alpha| < 1; ContractionRequired otherwise."""
+def affine_closed_form(alpha: ExternalNumber, noise: Neutrix) -> Neutrix:
+    """The limit neutrix N/(1 - |alpha|) that the differences of
+    u_{n+1} = alpha*u_n + N settle in, for a contraction |alpha| < 1:
+    N when the gap 1 - |alpha| is appreciable, larger when it is
+    infinitesimal, R when N is.  ContractionRequired otherwise."""
     one = monomial(1)
     if not ext_lt(abs(alpha), one):
         raise ContractionRequired(f"|{alpha}| < 1 fails")
-    if noise.is_full:
-        raise FullNotConcretizable("full-line noise is out of scope")
     # |alpha| < 1 makes 1 - |alpha| zeroless.
-    limit_neutrix = ext_div(from_neutrix(noise), sub(one, abs(alpha))).neutrix
-    q = conc.center(abs(alpha)) + conc.radius(alpha.neutrix)
-    return AffineCertificate(alpha, noise, q, conc.radius(noise), limit_neutrix)
+    return ext_div(from_neutrix(noise), sub(one, abs(alpha))).neutrix
 
 
 def affine_spec(alpha: ExternalNumber, noise: Neutrix, u0: ExternalNumber,
@@ -393,8 +370,7 @@ def reference_path(spec: RecurrenceSpec, conc: Concretization) -> np.ndarray:
     fn = _compile(spec.f, params)
     values = np.empty((spec.horizon + 1, 1))
     values[0] = conc.center(spec.u0)
-    _run(fn, values, spec.n0, [conc.center(p) for p in params], [], lambda i: (),
-         [("reference path", slice(None))])
+    _run(fn, values, spec.n0, [conc.center(p) for p in params], [], lambda i: (), "reference path")
     return values[:, 0]
 
 
@@ -417,40 +393,30 @@ def classify_stability(
     match = _match_affine(spec.f)
     if match is not None and reference.rep.is_zero and reference.neutrix.is_zero:
         alpha, fnoise = match
-        return _classify_affine(alpha, fnoise, noise, conc)
+        return _classify_affine(alpha, fnoise, noise)
     return _classify_sampled(spec, reference, noise, conc, samples, seed)
 
 
-def _classify_affine(alpha: ExternalNumber, fnoise: Neutrix, noise: Neutrix, conc: Concretization) -> StabilityVerdict:
+def _classify_affine(alpha: ExternalNumber, fnoise: Neutrix, noise: Neutrix) -> StabilityVerdict:
     evidence: Dict[str, object] = {"route": "affine analysis", "alpha": alpha, "f_noise": fnoise}
     try:
-        cert = affine_closed_form(alpha, fnoise, conc)
+        limit_neutrix = affine_closed_form(alpha, fnoise)
     except ContractionRequired as exc:
-        one = monomial(1)
-        if alpha.is_zeroless and ext_lt(one, abs(alpha)):
-            # Expansion: the model's difference path is shown where it escapes.
-            q = conc.center(abs(alpha)) - conc.radius(alpha.neutrix)
-            r = conc.radius(noise) if not noise.is_zero else conc.eps0
-            path = [r]
-            while abs(path[-1]) <= 10.0 * r + 1.0 and len(path) < 10_000:
-                path.append(path[-1] * q)
-            evidence.update(route="affine analysis (expansion)", q=q)
-            if abs(path[-1]) > 10.0 * r + 1.0:
-                evidence["escaping_path"] = np.asarray(path)
+        if alpha.is_zeroless and ext_lt(monomial(1), abs(alpha)):
+            evidence["route"] = "affine analysis (expansion)"
             return StabilityVerdict(Flag.FALSIFIED, Flag.FALSIFIED, Flag.FALSIFIED, evidence)
         evidence["route"] = f"affine analysis inconclusive ({exc})"
         return StabilityVerdict(Flag.UNKNOWN, Flag.UNKNOWN, Flag.UNKNOWN, evidence)
-    evidence.update(q=cert.q, c=cert.c, limit_neutrix=cert.limit_neutrix)
+    evidence["limit_neutrix"] = limit_neutrix
     # Differences obey d_{n+1} = a_n d_n + (b_n - b'_n) with b - b' in the
-    # f-noise; the decay bound keeps them inside a limited multiple of
-    # max(d_0-scale, f-noise), a group absorbs limited factors, and they
-    # settle in fnoise/(1-|alpha|), the certificate's limit neutrix.
-    if cert.limit_neutrix <= noise:
+    # f-noise; they settle in the limit neutrix fnoise/(1-|alpha|), so they
+    # stay in ``noise`` exactly when it holds that neutrix.
+    if limit_neutrix <= noise:
         st = asym = Flag.PROVEN
     else:
         st = asym = Flag.FALSIFIED
         evidence["escape"] = (f"step noise {fnoise} already exceeds {noise}" if not fnoise <= noise
-                              else f"differences settle in {cert.limit_neutrix}, which exceeds {noise}")
+                              else f"differences settle in {limit_neutrix}, which exceeds {noise}")
     if noise.is_zero:
         # Strong convergence to {0} means the difference is eventually
         # exactly zero, which only the zero map achieves.
@@ -497,17 +463,16 @@ def _classify_sampled(
     at_center = np.array(centers, dtype=float)[noisy, None]
     grid = np.geomspace(max(r_noise * 4.0, conc.eps0 ** 12), 0.5, num=8)
     diffs[0, 1:] = diffs[0, 0] + np.concatenate([within] + [np.full(16, s * 0.5) for s in grid])
-    groups = [("reference path", slice(0, 1)), ("perturbed path", slice(1, 1 + samples))]
-    groups += [("perturbed path", slice(1 + samples + 16 * g, 17 + samples + 16 * g)) for g in range(8)]
     _run(fn, diffs, spec.n0, centers, noisy, lambda i: np.concatenate((at_center, stab[i], scales[i]), axis=1),
-         groups)
+         "reference path", slice(0, 1))
     ref, diffs = diffs[:, :1], diffs[:, 1:]
     diffs -= ref
 
     # Stability: perturbations inside the noise interval must stay inside an
-    # appreciable multiple of it.
+    # appreciable multiple of it.  A difference past double range (inf)
+    # escapes; one that left the reals (nan) shows nothing, here and below.
     bound = 0.0 if noise.is_zero else max(r_noise, 1e-300) * _ESCAPE_FACTOR
-    escape = np.abs(diffs[:, :samples]).max(axis=0) > bound
+    escape = (np.abs(diffs[:, :samples]) > bound).any(axis=0)
     stable = Flag.FALSIFIED if escape.any() else Flag.UNKNOWN
     if escape.any():
         evidence["stability_counterexample_d0"] = float(within[int(np.argmax(escape))])
@@ -517,7 +482,7 @@ def _classify_sampled(
     # interval; if at every scale the difference fails to enter and remain,
     # the property is falsified.
     tail = max(1, h // 4)
-    tail_ok = (np.abs(diffs[-tail:, samples:]) <= max(r_noise, 1e-300)).all(axis=0)
+    tail_ok = ~(np.abs(diffs[-tail:, samples:]) > max(r_noise, 1e-300)).any(axis=0)
     enters = tail_ok.reshape(8, 16).any(axis=1)
     evidence["tolerance_scales"] = [(float(s), bool(e)) for s, e in zip(grid, enters)]
     asym = Flag.UNKNOWN if enters.any() else Flag.FALSIFIED

@@ -23,6 +23,9 @@ from this repository's ``perfbench/``.  Slices:
   ``inputs.STABILITY_NOISE`` and modulo its own noise.
 - ``cli``: the exit code and stdout of every ``perfbench/cli_cases.py``
   command, run through ``cli.main``.
+- ``recur``, one line per command of ``RECUR_COMMANDS``: the exit code,
+  stdout and stderr of ``flexnum recur`` run through ``cli.main``, over
+  every route of a stability verdict and every kind of refusal.
 - ``demos``: the stdout of every script in ``demos/``, each in a fresh
   interpreter.
 
@@ -50,7 +53,29 @@ import flexnum  # noqa: E402
 from flexnum import apps, cli, extnum, recur, seq  # noqa: E402
 
 SEEDS = (3, 7, 11)
-SLICES = ("seq-questions", "extnum-pairs", "numeric", "cli", "demos")
+SLICES = ("seq-questions", "extnum-pairs", "numeric", "cli", "recur", "demos")
+
+# (name, options after ``recur --u0 0 --neutrix e*L``): each sets --f, and a
+# later --u0 or --neutrix overrides the default.
+RECUR_COMMANDS = (
+    ("readme", ("--f", "(1/2 + o)*u + e*L", "--u0", "1", "--samples", "1000", "--horizon", "200",
+                "--format", "json")),
+    ("noise-past-double-range", ("--f", "u/2 + e^(-400)*L")),
+    ("expansion-modulo-w^400*L", ("--f", "2*u", "--neutrix", "w^400*L")),
+    ("full-line-noise", ("--f", "u/2 + R")),
+    ("overflow-escapes", ("--f", "u + u^2 + e*L", "--samples", "200", "--horizon", "200")),
+    ("root-escapes", ("--f", "u^(1/2) + e*L", "--samples", "200")),
+    ("root-of-negative", ("--f", "(-u^2)^(1/2) + e*L", "--samples", "100")),
+    ("expansion", ("--f", "(1 + e)*u + e*L")),
+    ("gap-e^10", ("--f", "(1 - e^10)*u + e*L")),
+    ("gap-e^10-modulo-0", ("--f", "(1 - e^10)*u", "--neutrix", "0")),
+    ("inconclusive", ("--f", "(1/2 + R)*u")),
+    ("sampled", ("--f", "u/2 + u^2 + e*L", "--samples", "100")),
+    ("reference-overflow", ("--f", "u^2 + (3/2)^n*e*L", "--reference", "1", "--horizon", "1800")),
+    ("reference-complex", ("--f", "u/2 + ((-1)^n)^(1/2)", "--horizon", "2000")),
+    ("reference-index-error", ("--f", "u/2 + n^(-1)")),
+    ("width", ("--f", "u/2 + u^2", "--neutrix", "w^(307/2)*L", "--eps0", "1e-2")),
+)
 
 
 def _text(value) -> str:
@@ -110,6 +135,13 @@ def _cli_answers():
         yield [command.name, code, out.getvalue()]
 
 
+def _recur_answer(options) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["recur", "--u0", "0", "--neutrix", "e*L", *options])
+    return [code, out.getvalue(), err.getvalue()]
+
+
 def _demo_answers():
     demos = os.path.join(ROOT, "demos")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(flexnum.__file__)))
@@ -141,6 +173,9 @@ def digest_lines(slices=SLICES, items: int = 800):
             yield f"numeric seed={seed} items={cases} {_sha(_numeric_answers(seed, cases))}"
     if "cli" in slices:
         yield f"cli commands={len(cli_cases.COMMANDS)} {_sha(_cli_answers())}"
+    if "recur" in slices:
+        for name, options in RECUR_COMMANDS:
+            yield f"recur {name} {_sha([_recur_answer(options)])}"
     if "demos" in slices:
         yield f"demos {_sha(_demo_answers())}"
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io
 import json
@@ -189,7 +190,7 @@ class TestRecur:
             "evidence.route,affine analysis",
         ]
         keys = [row.split(",", 1)[0] for row in rows[3:]]
-        assert keys == [f"evidence.{k}" for k in ("route", "alpha", "f_noise", "q", "c", "limit_neutrix")]
+        assert keys == [f"evidence.{k}" for k in ("route", "alpha", "f_noise", "limit_neutrix")]
         assert "evidence.alpha,1/2 + o" in rows and "evidence.limit_neutrix,e*L" in rows
 
 
@@ -237,9 +238,39 @@ class TestRecur:
         assert code == 1
         assert out == (
             "stable: proven\nasymptotically stable: proven\nstrongly asymptotically stable: falsified\n"
-            "  route: affine analysis\n  alpha: 1 - e^10\n  f_noise: 0\n  q: 1.0\n  c: 0.0\n"
+            "  route: affine analysis\n  alpha: 1 - e^10\n  f_noise: 0\n"
             "  limit_neutrix: 0\n  strong: a nonzero difference never reaches exactly 0\n"
         )
+
+    # Verdicts that a float failure off the reference path used to refuse:
+    # a noise radius past double range, full-line step noise, a perturbed
+    # path past double range (an escape) and one off the reals (nothing).
+    _FALSIFIED = "stable: falsified\nasymptotically stable: falsified\nstrongly asymptotically stable: falsified\n"
+    _SAMPLED = "  route: sampled falsification\n  samples: {}\n  horizon: 200\n"
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (("--f", "u/2 + e^(-400)*L", "--neutrix", "e*L"), 1, _FALSIFIED + (
+            "  route: affine analysis\n  alpha: 1/2\n  f_noise: w^400*L\n  limit_neutrix: w^400*L\n"
+            "  escape: step noise w^400*L already exceeds e*L\n")),
+        (("--f", "2*u", "--neutrix", "w^400*L"), 1, _FALSIFIED + (
+            "  route: affine analysis (expansion)\n  alpha: 2\n  f_noise: 0\n")),
+        (("--f", "u/2 + R", "--neutrix", "e*L"), 1, _FALSIFIED + (
+            "  route: affine analysis\n  alpha: 1/2\n  f_noise: R\n  limit_neutrix: R\n"
+            "  escape: step noise R already exceeds e*L\n")),
+        (("--f", "u + u^2 + e*L", "--neutrix", "e*L", "--samples", "200", "--horizon", "200"), 1,
+         _FALSIFIED + _SAMPLED.format(200) + "  stability_counterexample_d0: -0.0019283850641124006\n"),
+        (("--f", "u^(1/2) + e*L", "--neutrix", "e*L", "--samples", "200"), 1,
+         _FALSIFIED + _SAMPLED.format(200) + "  stability_counterexample_d0: 0.0007177884312980845\n"),
+        (("--f", "(-u^2)^(1/2) + e*L", "--neutrix", "e*L", "--samples", "100"), 0,
+         "stable: unknown\nasymptotically stable: unknown\nstrongly asymptotically stable: unknown\n"
+         + _SAMPLED.format(100)),
+    ], ids=["noise-past-double-range", "expansion-modulo-w^400*L", "full-line-noise", "overflow-escapes",
+            "root-escapes", "root-of-negative-shows-nothing"])
+    def test_float_failure_off_the_reference_is_a_verdict(self, capsys, argv, code, out):
+        got_code, got, err = run(capsys, "recur", "--u0", "0", *argv)
+        assert (got_code, err) == (code, "")
+        # The sampled routes' last line lists the tolerance scales.
+        assert got.startswith(out) and got.count("\n") - out.count("\n") == (1 if "samples" in out else 0)
 
     def test_contraction_proven_however_spelled(self, capsys):
         code, out, _ = run(
@@ -259,10 +290,12 @@ class TestCsv:
 
     def test_list_value_is_one_field(self, capsys):
         code, rows = self.rows(
-            capsys, "recur", "--f", "2*u", "--u0", "1", "--neutrix", "o", "--horizon", "5"
+            capsys, "recur", "--f", "u/2 + u^2 + e*L", "--u0", "0", "--neutrix", "e*L", "--samples", "10",
+            "--horizon", "5",
         )
-        path = json.loads(rows["evidence.escaping_path"])
-        assert code == 1 and len(path) > 1 and all(isinstance(x, float) for x in path)
+        scales = ast.literal_eval(rows["evidence.tolerance_scales"])
+        assert code == 0 and len(scales) == 8
+        assert all(isinstance(s, float) and isinstance(ok, bool) for s, ok in scales)
 
     def test_multiline_witness_is_one_field(self, capsys):
         code, rows = self.rows(capsys, "limit", "1/n + o", "--witness")
@@ -639,10 +672,6 @@ class TestFailuresExit2:
         )
         assert re.fullmatch(r"error: 10{300}\*w\^100 has no value at eps0=0\.001: it overflows a double\n", err)
 
-    def test_full_line_noise(self, capsys):
-        err = self.assert_error(capsys, "recur", "--f", "u/2 + R", "--u0", "0", "--neutrix", "e*L")
-        assert err == "error: full-line noise is out of scope\n"
-
     @pytest.mark.parametrize("f, neutrix", [
         ("u/2 + u^2", "w^(307/2)*L"),
         ("u/2 + u^2 + e^(-307/2)*L", "e*L"),
@@ -684,9 +713,14 @@ _MATCH = ("match", "--f", "-y", "--eps", "1e-2", "--y0", "1", "--tmax", "1")
     (("--micro-exp", "1/0") + _MATCH, "--micro-exp needs a rational, got '1/0'"),
     (("borel-ritt", "--coeffs", "1,x", "--order", "2"), "--coeffs needs comma-separated rationals, got 'x'"),
     (("recur", "--f", "u/2 + n*o", "--u0", "0", "--neutrix", "e*L", "--n0", "-5"), "n0 must be at least 0, got -5"),
+    (_RECUR + ("--seed", "-1", "--samples", "10"), "seed must be at least 0, got -1"),
+    (("borel-ritt", "--coeffs", "1,1,2,6", "--order", "3", "--check-all", "--seed", "-1"),
+     "seed must be at least 0, got -1"),
+    (_MATCH + ("--width", "inf"), "attract_width must be finite, got inf"),
 ], ids=["horizon-negative", "horizon-0-sampled", "samples-negative", "dt-0", "dt-negative", "eps-0",
         "tmax-negative", "width-0", "csv-points-0", "finite-segment", "y0-nan", "y0-inf", "tmax-inf", "eps-inf",
-        "halo-segment", "galaxy-segment", "delta", "micro-exp", "coeffs", "n0-negative"])
+        "halo-segment", "galaxy-segment", "delta", "micro-exp", "coeffs", "n0-negative", "recur-seed-negative",
+        "borel-ritt-seed-negative", "width-inf"])
 def test_bad_numeric_argument_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -780,6 +814,8 @@ def test_negative_horizon_refused_by_the_spec():
     ("--micro-exp", "1/0") + _MATCH,
     ("borel-ritt", "--coeffs", "1,x", "--order", "2"),
     ("recur", "--f", "u/2 + n*o", "--u0", "0", "--neutrix", "e*L", "--n0", "-5"),
+    _RECUR + ("--seed", "-1", "--samples", "10"),
+    ("match", "--f", "-y", "--eps", "1e-4", "--y0", "1", "--tmax", "4e-3", "--width", "inf"),
 ])
 def test_bad_arguments_exit_0_or_2_with_one_error_line(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
