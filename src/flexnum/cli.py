@@ -64,12 +64,13 @@ def _parse_segment(text: str) -> seq.Segment:
 
 def _csv_rows(payload: dict, prefix: str = ""):
     """One ``(key, text)`` row per field; a nested dict's fields get dotted
-    keys (``evidence.route``)."""
+    keys (``evidence.route``).  A string is written as it is, any other
+    value as JSON (``true``, ``null``, ``[0.5, false]``)."""
     for key, value in payload.items():
         if isinstance(value, dict):
             yield from _csv_rows(value, f"{prefix}{key}.")
         else:
-            yield f"{prefix}{key}", str(value)
+            yield f"{prefix}{key}", value if isinstance(value, str) else json.dumps(value)
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -312,7 +313,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except RecursionError:
-        # A compiled term evaluates one nested call per level of the tree.
+        # Only a float-compiled field (``recur --f``, ``match --f``) nests: its
+        # closures call one another once per level of the tree.
         print("error: expression too deeply nested to evaluate", file=sys.stderr)
         return 2
     except AssertionError as exc:

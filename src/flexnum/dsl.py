@@ -4,7 +4,9 @@ Tokens: nonnegative integers, the letters ``e`` (the scale generator),
 ``w`` (= e^-1), ``o`` (infinitesimals), ``L`` (limiteds), ``M`` (microhalo),
 ``R`` (the real line), the index ``n``, operators ``+ - * / ^`` and
 parentheses.  ``^`` binds tighter than ``*``/``/`` than ``+``/``-``; unary
-minus is allowed.  Rational exponents are written ``e^(3/2)``.
+minus is allowed.  An exponent is a signed integer or a parenthesized
+rational constant, ``w^-2`` or ``e^(3/2)``, with numerator and denominator
+at most 1000 in size.
 
 ``X^n`` is the geometric sequence for a positive rational X and the
 alternating sign for X = -1, e.g. ``(-1)^n/n``.  Recurrence right-hand sides
@@ -166,44 +168,18 @@ class _Parser:
             if q < 0:
                 return seq.Mul(ALT, Geom(-q))
             raise ParseError("0^n is just 0; write 0", position=tok.pos, source=self.text)
-        k = self.rational_exponent()
-        if abs(k.numerator) > 1000 or k.denominator > 1000:
-            raise ParseError("exponent out of range", position=tok.pos, source=self.text)
-        return _pow(base, k, self.text, tok.pos)
-
-    def rational_exponent(self) -> Fraction:
-        tok = self.peek()
+        # Any other exponent is a sign and one atom that folds to a rational.
         sign = 1
         if tok.kind == "op" and tok.text in "+-":
             self.take()
             sign = -1 if tok.text == "-" else 1
-            tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.take()
-            inner_sign = 1
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.take()
-                inner_sign = -1 if tok.text == "-" else 1
-            num = self.integer()
-            den = 1
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "/":
-                self.take()
-                tok = self.peek()
-                den = self.integer()
-                if den == 0:
-                    raise ParseError("zero denominator in an exponent", position=tok.pos, source=self.text)
-            self.expect_op(")")
-            return Fraction(sign * inner_sign * num, den)
-        num = self.integer()
-        return Fraction(sign * num)
-
-    def integer(self) -> int:
-        tok = self.take()
-        if tok.kind != "int":
-            raise ParseError("syntax error", position=tok.pos, expected="an integer", source=self.text)
-        return int(tok.text)
+        k = _as_rational(self.atom())
+        if k is None:
+            raise ParseError("an exponent must be n or a rational constant", position=tok.pos, source=self.text)
+        k *= sign
+        if abs(k.numerator) > 1000 or k.denominator > 1000:
+            raise ParseError("exponent out of range", position=tok.pos, source=self.text)
+        return _pow(base, k, self.text, tok.pos)
 
     def atom(self):
         tok = self.take()
@@ -283,10 +259,8 @@ def _base_names() -> dict:
 
 def parse_extnum(text: str) -> ExternalNumber:
     """Parse an external-number literal such as ``5 + o`` or ``w^2 + w*L``."""
-    value = _Parser(text, _base_names()).parse()
-    if isinstance(value, ExternalNumber):
-        return value
-    raise ParseError("expected an external number, found a sequence", position=0, source=text)
+    # No name stands for n or a variable, so every parse folds to a number.
+    return _Parser(text, _base_names()).parse()
 
 
 def parse_seq(text: str) -> Term:

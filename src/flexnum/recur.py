@@ -357,8 +357,6 @@ def _json_value(v):
     """An evidence value as JSON: numbers stay numbers, sequences become lists."""
     if isinstance(v, (ExternalNumber, Neutrix)):
         return str(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
     if isinstance(v, (tuple, list)):
         return [_json_value(x) for x in v]
     return v

@@ -9,10 +9,10 @@ the alternating sign and external-number coefficients:
 
 Every walk over a term is a rule table handed to :func:`fold`.  A ``Var``
 leaf names a variable outside the grammar (the previous value of a
-recurrence, the arguments of a field); only compiled folds give it a value.
-There are two compiled folds: ``_EVAL`` evaluates exactly in external
-arithmetic, and :func:`compile_float` in doubles, for recurrences and
-slow-curve fields alike.
+recurrence, the arguments of a field); only the compiled fold gives it a
+value.  :func:`compile_float` is that one compiled fold: it turns a term into
+closures over doubles, for recurrences and slow-curve fields alike.  Exact
+values need no compiling: :func:`eval_at` folds a term at one index n.
 
 Convergence of arbitrary external sequences is undecidable; on this fragment
 every term normalizes to a finite sum of
@@ -325,11 +325,9 @@ def _ext_pow(v: ExternalNumber, k: Fraction) -> ExternalNumber:
 
 
 def _rational_pow(c: Fraction, k: Fraction) -> Optional[Fraction]:
-    """c**k as an exact rational, or None when irrational."""
+    """c**k for a positive c, as an exact rational, or None when irrational."""
 
     def iroot(m: int, r: int) -> Optional[int]:
-        if m == 0:
-            return 0
         lo, hi = 1, m
         while lo <= hi:
             mid = (lo + hi) // 2
@@ -352,17 +350,6 @@ def _rational_pow(c: Fraction, k: Fraction) -> Optional[Fraction]:
     return root ** e if e >= 0 else Fraction(1) / (root ** (-e))
 
 
-def _eval_div(num: Callable, den: Callable) -> Callable:
-    def at(n: int) -> ExternalNumber:
-        d = den(n)
-        try:
-            return ext_div(num(n), d)
-        except DivisionByNeutrix as exc:
-            raise EvalDomain(f"division by {d} at n={n}") from exc
-
-    return at
-
-
 def _geom_at(b: Fraction, n: int) -> ExternalNumber:
     """b^n, refused uncomputed when it has more digits than the interpreter turns into text."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -371,25 +358,29 @@ def _geom_at(b: Fraction, n: int) -> ExternalNumber:
     return monomial(b ** n)
 
 
-# Compiles a term into n -> u_n.  A quotient evaluates its denominator first,
-# so a failing denominator is the error reported.
-_EVAL = {
-    Const: lambda c: lambda n: c.value,
-    Index: lambda _: lambda n: monomial(n),
-    AltSign: lambda _: lambda n: monomial((-1) ** (n % 2)),
-    Geom: lambda g: lambda n: _geom_at(g.base, n),
-    Add: lambda _, a, b: lambda n: a(n) + b(n),
-    Mul: lambda _, a, b: lambda n: a(n) * b(n),
-    Div: lambda _, a, b: _eval_div(a, b),
-    Pow: lambda p, a: lambda n: _ext_pow(a(n), p.exponent),
-}
-
-
 def eval_at(u: Term, n: int) -> ExternalNumber:
-    """The external number u_n, folded exactly through external arithmetic."""
+    """The external number u_n: one fold that computes each node's value at n
+    in external arithmetic, operands left to right, so the first failing
+    operand is the error reported."""
     if n < 0:
         raise EvalDomain("indices are natural numbers")
-    return fold(u, _EVAL)(n)
+
+    def div(_, a, b):
+        try:
+            return ext_div(a, b)
+        except DivisionByNeutrix as exc:
+            raise EvalDomain(f"division by {b} at n={n}") from exc
+
+    return fold(u, {
+        Const: lambda c: c.value,
+        Index: lambda _: monomial(n),
+        AltSign: lambda _: monomial((-1) ** (n % 2)),
+        Geom: lambda g: _geom_at(g.base, n),
+        Add: lambda _, a, b: a + b,
+        Mul: lambda _, a, b: a * b,
+        Div: div,
+        Pow: lambda p, a: _ext_pow(a, p.exponent),
+    })
 
 
 def compile_float(u: Term, const: Callable, slots: Mapping[str, int]) -> Callable:
@@ -799,10 +790,12 @@ def _nf_div(num: NormalForm, den: NormalForm) -> NormalForm:
                     raise Unnormalizable(f"series division does not close within {MAX_EXPANSION_ROUNDS} rounds: "
                                          f"a term times ({m})^k neither vanishes nor enters the noise")
         # Once every surviving point monomial vanishes in n, one more factor of
-        # w only shrinks it further: close with a tail bound.
-        if power.point and not power.noise and all(_growth(k[1], k[2]) < 0 for k, _ in power.point):
+        # w only shrinks it further: close with a tail bound.  A power that
+        # holds only tails closes the same way, one bound per tail.
+        if not power.noise and all(_growth(k[1], k[2]) < 0 for k, _ in power.point):
             wC, wq, wr, wb = _dominant_magnitude(wf)
-            closing = ((2 * abs(c) * wC, q + wq, r + wr, b * wb) for (q, r, b, _s), c in power.point)
+            bounds = [(abs(c), q, r, b) for (q, r, b, _s), c in power.point] or power.tails
+            closing = ((2 * C * wC, q + wq, r + wr, b * wb) for C, q, r, b in bounds)
             return _form(result.point, result.noise, (*result.tails, *closing), result.trimmed or dropped)
     raise Unnormalizable("series division does not close against the result's noise")
 

@@ -26,6 +26,10 @@ from this repository's ``perfbench/``.  Slices:
 - ``recur``, one line per command of ``RECUR_COMMANDS``: the exit code,
   stdout and stderr of ``flexnum recur`` run through ``cli.main``, over
   every route of a stability verdict and every kind of refusal.
+- ``front``, one line per command of ``FRONT_COMMANDS``: the exit code,
+  stdout and stderr of a ``flexnum`` command run through ``cli.main``, over
+  the exponent spellings, a deep sum, a quotient of tails, CSV cells and a
+  segment witness.
 - ``demos``: the stdout of every script in ``demos/``, each in a fresh
   interpreter.
 
@@ -53,7 +57,7 @@ import flexnum  # noqa: E402
 from flexnum import apps, cli, extnum, recur, seq  # noqa: E402
 
 SEEDS = (3, 7, 11)
-SLICES = ("seq-questions", "extnum-pairs", "numeric", "cli", "recur", "demos")
+SLICES = ("seq-questions", "extnum-pairs", "numeric", "cli", "recur", "front", "demos")
 
 # (name, options after ``recur --u0 0 --neutrix e*L``): each sets --f, and a
 # later --u0 or --neutrix overrides the default.
@@ -75,6 +79,19 @@ RECUR_COMMANDS = (
     ("reference-complex", ("--f", "u/2 + ((-1)^n)^(1/2)", "--horizon", "2000")),
     ("reference-index-error", ("--f", "u/2 + n^(-1)")),
     ("width", ("--f", "u/2 + u^2", "--neutrix", "w^(307/2)*L", "--eps0", "1e-2")),
+)
+
+# (name, argv of ``flexnum``).
+FRONT_COMMANDS = (
+    ("exponent-rational", ("eval", "e^(3/2)")),
+    ("exponent-negative", ("eval", "w^-2")),
+    ("exponent-negated-group", ("eval", "e^-(1/2)")),
+    ("exponent-zero-denominator", ("eval", "e^(1/0)")),
+    ("exponent-unknown-name", ("eval", "e^(x)")),
+    ("deep-sum", ("eval", "--n", "1", " + ".join(["n"] * 1500))),
+    ("quotient-of-tails", ("limit", "--witness", "((1/n)/(1+1/n) - (1/n - 1/n^2))/(1 + 1/n)")),
+    ("limit-csv", ("limit", "1/n + o", "--to", "0", "--neutrix", "o", "--format", "csv")),
+    ("halo-witness", ("limit", "--wrt", "halo:1", "--witness", "1/n")),
 )
 
 
@@ -135,10 +152,10 @@ def _cli_answers():
         yield [command.name, code, out.getvalue()]
 
 
-def _recur_answer(options) -> list:
+def _cli_answer(argv) -> list:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["recur", "--u0", "0", "--neutrix", "e*L", *options])
+        code = cli.main(list(argv))
     return [code, out.getvalue(), err.getvalue()]
 
 
@@ -175,7 +192,10 @@ def digest_lines(slices=SLICES, items: int = 800):
         yield f"cli commands={len(cli_cases.COMMANDS)} {_sha(_cli_answers())}"
     if "recur" in slices:
         for name, options in RECUR_COMMANDS:
-            yield f"recur {name} {_sha([_recur_answer(options)])}"
+            yield f"recur {name} {_sha([_cli_answer(['recur', '--u0', '0', '--neutrix', 'e*L', *options])])}"
+    if "front" in slices:
+        for name, argv in FRONT_COMMANDS:
+            yield f"front {name} {_sha([_cli_answer(argv)])}"
     if "demos" in slices:
         yield f"demos {_sha(_demo_answers())}"
 

@@ -92,9 +92,28 @@ class TestParse:
     @pytest.mark.parametrize("parse, text", [(dsl.parse_extnum, "e^(1/0)"), (dsl.parse_extnum, "2^(-3/0)"),
                                              (dsl.parse_seq, "n^(0/0)")], ids=["e", "rational", "n"])
     def test_zero_denominator_in_an_exponent_is_positioned(self, parse, text):
-        with pytest.raises(ParseError, match="^zero denominator in an exponent") as err:
+        with pytest.raises(ParseError, match="^divisor 0 contains zero") as err:
             parse(text)
-        assert err.value.position == text.index("/") + 1
+        assert err.value.position == text.index("/")
+
+    @pytest.mark.parametrize("text, same", [("e^(1+1)", "e^2"), ("w^-2", "e^2"), ("e^-(1/2)", "w^(1/2)"),
+                                            ("e^(2^2/(3*2))", "e^(2/3)"), ("w^+(-3)", "e^3")])
+    def test_exponent_is_any_rational_constant(self, text, same):
+        assert dsl.parse_extnum(text) == dsl.parse_extnum(same)
+
+    def test_sequence_exponent_is_a_rational_constant(self):
+        assert dsl.parse_seq("n^(-1/2)") == seq.Pow(Index(), Fraction(-1, 2))
+        assert dsl.parse_seq("n^-(1/2)") == seq.Pow(Index(), Fraction(-1, 2))
+
+    @pytest.mark.parametrize("parse, text, message, position", [
+        (dsl.parse_extnum, "e^o", "an exponent must be n or a rational constant", 2),
+        (dsl.parse_seq, "2^-n", "an exponent must be n or a rational constant", 2),
+        (dsl.parse_extnum, "e^(2^1000)", "exponent out of range", 2),
+    ], ids=["neutrix", "negative-index", "out-of-range"])
+    def test_exponent_that_is_no_rational_constant_is_refused(self, parse, text, message, position):
+        with pytest.raises(ParseError, match=f"^{message}") as err:
+            parse(text)
+        assert err.value.position == position
 
     def test_errors_carry_positions(self):
         # The second + reads as a unary sign, so the * is the offender.

@@ -366,6 +366,16 @@ class TestFullLineNoise:
         assert eventually_subset(dsl.parse_seq(u), dsl.parse_seq(v)) is want
 
 
+@pytest.mark.parametrize("v, want", [("1 - 1/n + L/n^2", True), ("1 - 1/n + L/n^3", False)],
+                         ids=["tail-inside", "tail-outside"])
+def test_eventually_subset_tests_the_tails(v, want):
+    """1/(1 + 1/n) normalizes to -n^-1 + 1 + O(2*n^-2): the points agree with v's,
+    so the tail alone decides whether it lies inside v's noise."""
+    u = dsl.parse_seq("1/(1 + 1/n)")
+    assert str(seq.normalize(u)) == "-n^-1 + 1 + O(2*n^-2)"
+    assert eventually_subset(u, dsl.parse_seq(v)) is want
+
+
 class TestConvergesTo:
     """One claim rule for the global and the segment reports."""
 

@@ -65,13 +65,18 @@ class TestEval:
     def test_geom(self):
         assert eval_at(Geom(Fraction(1, 2)), 3) == monomial(Fraction(1, 8))
 
-    def test_quotient_reports_its_denominator_first(self):
+    def test_quotient_reports_its_first_failing_operand(self):
         num = Pow(Const(from_neutrix(OSLASH)), Fraction(-1))  # 1/o: not zeroless
         den = Pow(N, Fraction(1, 2))  # sqrt(2) at n=2
-        with pytest.raises(EvalDomain, match="irrational"):
+        # Operands evaluate left to right: the numerator's error wins.
+        with pytest.raises(EvalDomain, match="non-zeroless"):
             eval_at(Div(num, den), 2)
         with pytest.raises(EvalDomain, match="non-zeroless"):
             eval_at(Div(num, den), 4)
+        with pytest.raises(EvalDomain, match="irrational"):
+            eval_at(Div(Const(one), den), 2)
+        with pytest.raises(EvalDomain, match="division by o at n=3"):
+            eval_at(Div(N, Const(from_neutrix(OSLASH))), 3)
 
 
 def _deep_sum(levels):
@@ -84,6 +89,15 @@ def _deep_sum(levels):
 def test_deep_terms_fold_past_the_recursion_limit():
     expected = NormalForm(point=(((Fraction(0), Fraction(1), Fraction(1), False), Fraction(6002)),))
     assert normalize(reindex(_deep_sum(3000), 2)) == expected
+
+
+@pytest.mark.parametrize("build", [lambda t: t, lambda t: Mul(Const(one), t), lambda t: Div(t, Const(one))],
+                         ids=["sum", "product", "quotient"])
+def test_deep_terms_evaluate_past_the_recursion_limit(build):
+    deep = N
+    for _ in range(3000):
+        deep = build(Add(deep, N))
+    assert eval_at(deep, 2) == monomial(6002)
 
 
 def test_order_questions_on_equal_deep_terms():
@@ -143,6 +157,15 @@ class TestNormalize:
         assert nf.trimmed and not nf.exact
         with pytest.raises(ValueError):
             support.form_at(nf, 5)
+
+    def test_quotient_of_tails_closes_with_one_bound_per_tail(self):
+        u = dsl.parse_seq("((1/n)/(1+1/n) - (1/n - 1/n^2))/(1 + 1/n)")
+        num = normalize(u.num)
+        assert (num.point, num.noise, str(num)) == ((), (), "O(2*n^-3)")
+        nf = normalize(u)
+        assert str(nf) == "O(2*n^-4) + O(2*n^-3) + O(4*n^-5)"
+        assert nf == ref_nf_div(num, normalize(u.den), MAX_EXPANSION_ROUNDS)
+        assert str(seq.n_limit(u).limit) == "0"
 
     def test_fractional_power_of_sum_rejected(self):
         with pytest.raises(Unnormalizable):
@@ -439,9 +462,10 @@ def ref_nf_div(num, den, cap):
             return seq._form(result.point, result.noise, result.tails, True) if dropped else result
         power = seq._form(point, noise, tails)
         result = seq._nf_add(result, power)
-        if power.point and not power.noise and all(seq._growth(k[1], k[2]) < 0 for k, _ in power.point):
+        if not power.noise and all(seq._growth(k[1], k[2]) < 0 for k, _ in power.point):
             wC, wq, wr, wb = seq._dominant_magnitude(wf)
-            closing = ((2 * abs(c) * wC, q + wq, r + wr, b * wb) for (q, r, b, _s), c in power.point)
+            bounds = [(abs(c), q, r, b) for (q, r, b, _s), c in power.point] or power.tails
+            closing = ((2 * C * wC, q + wq, r + wr, b * wb) for C, q, r, b in bounds)
             return seq._form(result.point, result.noise, (*result.tails, *closing), result.trimmed or dropped)
     raise Unnormalizable("series division does not close against the result's noise")
 
